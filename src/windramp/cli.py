@@ -2,13 +2,18 @@
 
 Configuration comes from a JSON file (``--config``) with flags overriding
 individual fields; every run writes the resolved configuration next to its
-outputs. Exit codes: 0 success, 2 config error, 3 data error, 4 training or
-model error. Errors print one JSON line to stderr.
+outputs. ``train`` and ``evaluate`` rebuild each horizon's labeled dataset
+from the series in memory; ``prepare`` writes only the class-distribution
+report. ``train`` records each split as (seed, test fraction, dataset
+sha256) beside the model, and ``evaluate`` refuses to score a model whose
+series has changed since. Exit codes: 0 success, 2 config error, 3 data
+error, 4 training or model error. Errors print one JSON line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -187,7 +192,7 @@ def _hyperparams(cfg: dict) -> gbrt.HyperParams:
 
 def _out_dirs(cfg: dict) -> dict[str, Path]:
     root = Path(cfg["out"])
-    dirs = {name: root / name for name in ("datasets", "models", "reports")}
+    dirs = {name: root / name for name in ("models", "reports")}
     for d in dirs.values():
         d.mkdir(parents=True, exist_ok=True)
     dirs["root"] = root
@@ -200,23 +205,30 @@ def _write_resolved_config(cfg: dict, root: Path) -> None:
     )
 
 
-def _dataset_path(dirs: dict, s: int) -> Path:
-    return dirs["datasets"] / f"horizon_{s}.csv"
-
-
 def _split_path(dirs: dict, s: int) -> Path:
-    return dirs["datasets"] / f"horizon_{s}.split.json"
+    return dirs["models"] / f"horizon_{s}.split.json"
 
 
 def _model_path(dirs: dict, s: int) -> Path:
     return dirs["models"] / f"horizon_{s}.model.json"
 
 
+def _build_dataset(cfg: dict, wps: series.WindPowerSeries, thresholds, s: int) -> labeling.LabeledDataset:
+    horizon = labeling.HorizonSpec(steps_ahead=int(s), lag_count=int(cfg["lag_count"]))
+    return labeling.build_dataset(wps, horizon, thresholds)
+
+
+def _dataset_sha256(ds: labeling.LabeledDataset) -> str:
+    digest = hashlib.sha256()
+    for arr in (ds.features, ds.targets, ds.anchor_ts):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 def _distribution_doc(cfg: dict, wps: series.WindPowerSeries, thresholds) -> dict:
     doc = {"site_id": wps.site_id, "thresholds_mw": list(thresholds.thresholds_mw), "horizons": {}}
     for s in cfg["horizons"]:
-        horizon = labeling.HorizonSpec(steps_ahead=int(s), lag_count=int(cfg["lag_count"]))
-        ds = labeling.build_dataset(wps, horizon, thresholds)
+        ds = _build_dataset(cfg, wps, thresholds, s)
         dist = labeling.class_distribution(ds)
         doc["horizons"][str(s)] = {
             "rows": len(ds),
@@ -242,16 +254,12 @@ def cmd_prepare(cfg: dict) -> int:
     wps, report = _load_series(cfg)
     thresholds = _thresholds(cfg)
     doc = _distribution_doc(cfg, wps, thresholds)
-    for s in cfg["horizons"]:
-        horizon = labeling.HorizonSpec(steps_ahead=int(s), lag_count=int(cfg["lag_count"]))
-        ds = labeling.build_dataset(wps, horizon, thresholds)
-        labeling.save_dataset(ds, _dataset_path(dirs, int(s)))
     (dirs["reports"] / "distribution.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (dirs["reports"] / "distribution.txt").write_text(_distribution_text(doc), encoding="utf-8")
     print(
-        f"prepared {len(cfg['horizons'])} datasets in {dirs['datasets']} "
+        f"wrote class distributions for {len(cfg['horizons'])} horizons to {dirs['reports']} "
         f"(rows read {report.rows_read}, dropped {report.rows_dropped}, "
         f"gaps {report.gaps}, segments {report.segments})"
     )
@@ -272,13 +280,12 @@ def cmd_train(cfg: dict) -> int:
     workers = cfg["workers"]
     workers = None if workers is None else int(workers)
     fixed = _hyperparams(cfg)
+    wps, _ = _load_series(cfg)
+    thresholds = _thresholds(cfg)
     for s in cfg["horizons"]:
         s = int(s)
-        path = _dataset_path(dirs, s)
-        if not path.exists():
-            raise DataError(f"dataset {path} missing; run `windramp prepare` first")
-        ds = labeling.load_dataset(path)
-        train_ds, test_ds = evaluation.stratified_split(ds, float(cfg["test_fraction"]), seed)
+        ds = _build_dataset(cfg, wps, thresholds, s)
+        train_ds, _ = evaluation.stratified_split(ds, float(cfg["test_fraction"]), seed)
         params = fixed
         if cfg["grid"]:
             grid = evaluation.ParamGrid(
@@ -304,11 +311,9 @@ def cmd_train(cfg: dict) -> int:
         _split_path(dirs, s).write_text(
             json.dumps(
                 {
-                    "version": 1,
                     "seed": seed,
                     "test_fraction": float(cfg["test_fraction"]),
-                    "train_anchor_ts": [int(t) for t in train_ds.anchor_ts],
-                    "test_anchor_ts": [int(t) for t in test_ds.anchor_ts],
+                    "dataset_sha256": _dataset_sha256(ds),
                 },
                 sort_keys=True,
             ),
@@ -321,11 +326,24 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_split(dirs: dict, s: int) -> dict:
+def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
+    """Re-run the split recorded by ``train`` on the rebuilt dataset."""
     path = _split_path(dirs, s)
     if not path.exists():
-        raise DataError(f"split file {path} missing; run `windramp train` first")
-    return json.loads(path.read_text(encoding="utf-8"))
+        raise DataError(f"split record {path} missing; run `windramp train` first")
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        seed, test_fraction = int(record["seed"]), float(record["test_fraction"])
+        recorded_sha = str(record["dataset_sha256"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed split record {path}: {exc}") from exc
+    if recorded_sha != _dataset_sha256(ds):
+        raise DataError(
+            f"horizon S={s}: the dataset rebuilt from the series differs from the one "
+            "the model was trained on; the series or labeling config changed since "
+            "`windramp train`"
+        )
+    return evaluation.stratified_split(ds, test_fraction, seed)
 
 
 def cmd_evaluate(cfg: dict) -> int:
@@ -339,19 +357,12 @@ def cmd_evaluate(cfg: dict) -> int:
     base_time = {"persistence": np.zeros(2), "majority": np.zeros(2)}
     for s in cfg["horizons"]:
         s = int(s)
-        ds_path = _dataset_path(dirs, s)
         model_path = _model_path(dirs, s)
-        for p in (ds_path, model_path):
-            if not p.exists():
-                raise DataError(f"missing artifact {p}; run prepare/train first")
-        ds = labeling.load_dataset(ds_path)
+        if not model_path.exists():
+            raise DataError(f"model {model_path} missing; run `windramp train` first")
         model = gbrt.load_model(model_path)
-        split = _load_split(dirs, s)
-        test_anchors = np.asarray(split["test_anchor_ts"], dtype=np.int64)
-        train_anchors = np.asarray(split["train_anchor_ts"], dtype=np.int64)
-        test_rows = np.flatnonzero(np.isin(ds.anchor_ts, test_anchors))
-        train_rows = np.flatnonzero(np.isin(ds.anchor_ts, train_anchors))
-        test_ds = ds.select(test_rows)
+        ds = _build_dataset(cfg, wps, thresholds, s)
+        train_ds, test_ds = _resplit(dirs, s, ds)
 
         t0 = time.perf_counter()
         predicted = model.predict_class(test_ds.features)
@@ -360,13 +371,13 @@ def cmd_evaluate(cfg: dict) -> int:
         gbrt_pairs.append((evaluation.metrics(cm, rare, ds.horizon), cm))
 
         t0 = time.perf_counter()
-        pers = baselines.persistence_predict(wps, ds.horizon, thresholds).restrict(test_anchors)
+        pers = baselines.persistence_predict(wps, ds.horizon, thresholds).restrict(test_ds.anchor_ts)
         base_time["persistence"] += (time.perf_counter() - t0, pers.true.size)
         pcm = evaluation.confusion(pers.true, pers.predicted, ds.num_classes)
         pers_pairs.append((evaluation.metrics(pcm, rare, ds.horizon), pcm))
 
         t0 = time.perf_counter()
-        majority = baselines.majority_predict(ds.targets[train_rows], len(test_ds))
+        majority = baselines.majority_predict(train_ds.targets, len(test_ds))
         base_time["majority"] += (time.perf_counter() - t0, len(test_ds))
         mcm = evaluation.confusion(test_ds.targets, majority, ds.num_classes)
         maj_pairs.append((evaluation.metrics(mcm, rare, ds.horizon), mcm))
@@ -469,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
 
     for name, descr in (
-        ("prepare", "build labeled datasets and the class-distribution report"),
+        ("prepare", "write the class-distribution report and the resolved config"),
         ("train", "train one model per horizon (grid search when configured)"),
         ("evaluate", "score models against persistence and majority baselines"),
         ("distribution", "print per-horizon class distributions"),

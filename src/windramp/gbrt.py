@@ -81,9 +81,10 @@ class Tree:
     """One regression tree as flat node arrays (index 0 = root).
 
     ``feature[i] == -1`` marks a leaf whose value is ``weight[i]``; internal
-    nodes route x[feature] < threshold to ``left``, else ``right``. The
+    nodes route x[feature] < threshold to ``left``, else ``right``. Children
+    always come after their parent, so every path from the root ends. The
     node format carries a default direction for rows with missing values;
-    inputs are dense, so it is always "left".
+    inputs are dense and finite, so it is always "left".
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "weight", "depth")
@@ -156,8 +157,12 @@ class Tree:
                     right[i] = int(node["right"])
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ModelFormatError(f"malformed tree node {i}: {node!r}") from exc
-                if not (0 <= left[i] < n and 0 <= right[i] < n):
-                    raise ModelFormatError(f"tree node {i} has child index out of range")
+                if feature[i] < 0:
+                    raise ModelFormatError(f"tree node {i} has negative feature {feature[i]}")
+                if not (i < left[i] < n and i < right[i] < n):
+                    raise ModelFormatError(
+                        f"tree node {i} has child index out of range {i + 1}..{n - 1}"
+                    )
         return cls(feature, threshold, left, right, weight, _tree_depth(feature, left, right))
 
 
@@ -401,18 +406,21 @@ class GbrtModel:
     def n_rounds(self) -> int:
         return len(self.trees)
 
-    def _check_width(self, X: np.ndarray) -> np.ndarray:
+    def _check_rows(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DataError(
                 f"feature width mismatch: model expects {self.n_features}, got "
                 f"{X.shape[1] if X.ndim == 2 else X.shape}"
             )
+        if not np.isfinite(X).all():
+            bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+            raise DataError(f"feature row {bad} holds a non-finite value")
         return X
 
     def raw_scores(self, X: np.ndarray, n_rounds: int | None = None) -> np.ndarray:
         """Accumulated per-class scores (base score + shrunken tree outputs)."""
-        X = self._check_width(X)
+        X = self._check_rows(X)
         scores = np.tile(self.base_score, (X.shape[0], 1))
         use = self.n_rounds if n_rounds is None else min(n_rounds, self.n_rounds)
         for rnd in self.trees[:use]:
@@ -574,6 +582,8 @@ def deserialize_model(text: str) -> GbrtModel:
         raise ModelFormatError("base_score length must equal num_classes")
     if any(len(rnd) != num_classes for rnd in model.trees):
         raise ModelFormatError("every round must hold one tree per class")
+    if any(tree.feature.max() >= model.n_features for rnd in model.trees for tree in rnd):
+        raise ModelFormatError(f"a tree splits on a feature outside 0..{model.n_features - 1}")
     return model
 
 

@@ -7,17 +7,13 @@ and a feature row of the last L raw power values ending at each anchor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .series import WindPowerSeries
-
-DATASET_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class LabeledDataset:
     ``features[i]`` is (w(t-L+1), ..., w(t)) for anchor t; ``targets[i]`` is
     the class of w(t+S) - w(t). ``anchor_ts`` keeps each row's anchor
     timestamp so rows stay joinable with baseline predictions after
-    splitting or serialization.
+    splitting.
     """
 
     features: np.ndarray
@@ -237,73 +233,3 @@ def class_distribution(dataset: LabeledDataset) -> dict[int, tuple[int, float]]:
         c + 1: (int(counts[c]), 100.0 * counts[c] / n)
         for c in range(dataset.num_classes)
     }
-
-
-def _lag_column_names(lag_count: int) -> list[str]:
-    # column j holds w(t - (L-1-j)); lag_k always means "k steps before t"
-    return [f"lag_{lag_count - 1 - j}" for j in range(lag_count)]
-
-
-def save_dataset(dataset: LabeledDataset, csv_path) -> Path:
-    """Write the dataset as delimited columns plus a JSON metadata sidecar.
-
-    The CSV holds the L lag columns (oldest first, named lag_{L-1}..lag_0)
-    and a ``target`` column; thresholds, horizon, and anchor timestamps go
-    to ``<csv_path>.meta.json`` next to it. Floats use shortest round-trip
-    formatting, so a reload is bitwise-identical.
-    """
-    csv_path = Path(csv_path)
-    header = _lag_column_names(dataset.horizon.lag_count) + ["target"]
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row, target in zip(dataset.features, dataset.targets):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(target)}\n")
-    meta = {
-        "version": DATASET_FORMAT_VERSION,
-        "thresholds_mw": list(dataset.thresholds.thresholds_mw),
-        "steps_ahead": dataset.horizon.steps_ahead,
-        "lag_count": dataset.horizon.lag_count,
-        "anchor_ts": [int(t) for t in dataset.anchor_ts],
-    }
-    meta_path = sidecar_path(csv_path)
-    meta_path.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-    return meta_path
-
-
-def sidecar_path(csv_path) -> Path:
-    return Path(str(csv_path) + ".meta.json")
-
-
-def load_dataset(csv_path) -> LabeledDataset:
-    """Reload a dataset written by save_dataset (CSV + sidecar)."""
-    csv_path = Path(csv_path)
-    meta_path = sidecar_path(csv_path)
-    if not meta_path.exists():
-        raise DataError(f"missing dataset sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("version") != DATASET_FORMAT_VERSION:
-        raise DataError(f"unsupported dataset format version {meta.get('version')!r}")
-    horizon = HorizonSpec(steps_ahead=meta["steps_ahead"], lag_count=meta["lag_count"])
-    thresholds = ThresholdSet(tuple(meta["thresholds_mw"]))
-
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = _lag_column_names(horizon.lag_count) + ["target"]
-        if header != expected:
-            raise DataError(f"dataset columns {header} do not match sidecar lag_count")
-        rows = []
-        targets = []
-        for line_no, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if len(cells) != len(expected):
-                raise DataError(f"line {line_no}: expected {len(expected)} columns")
-            rows.append([float(c) for c in cells[:-1]])
-            targets.append(int(cells[-1]))
-    features = np.asarray(rows, dtype=np.float64).reshape(len(rows), horizon.lag_count)
-    return LabeledDataset(
-        features=features,
-        targets=np.asarray(targets, dtype=np.int64),
-        horizon=horizon,
-        thresholds=thresholds,
-        anchor_ts=np.asarray(meta["anchor_ts"], dtype=np.int64),
-    )

@@ -144,6 +144,15 @@ class TestPredict:
         with pytest.raises(DataError, match="width"):
             model.predict_proba(np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        ds = quadrant_dataset(n=20)
+        model = train(ds, small_params(n_estimators=1))
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(DataError, match="row 1 .*non-finite"):
+            model.predict_class(X)
+
 
 class TestModelIO:
     def test_round_trip_identical_predictions(self):
@@ -184,6 +193,34 @@ class TestModelIO:
         doc = json.loads(serialize_model(train(ds, small_params(n_estimators=1))))
         doc["version"] = 99
         with pytest.raises(ModelFormatError, match="version"):
+            deserialize_model(json.dumps(doc))
+
+    def _split_doc(self):
+        ds = quadrant_dataset(n=30)
+        doc = json.loads(serialize_model(train(ds, small_params(n_estimators=1))))
+        root = doc["rounds"][0][0][0]
+        assert "feature" in root
+        return doc, root
+
+    def test_cyclic_tree_rejected(self):
+        doc, root = self._split_doc()
+        root["left"] = root["right"] = 0
+        with pytest.raises(ModelFormatError, match="child index"):
+            deserialize_model(json.dumps(doc))
+
+    def test_child_before_parent_rejected(self):
+        doc, _ = self._split_doc()
+        nodes = doc["rounds"][0][0]
+        inner = next(i for i, node in enumerate(nodes) if i > 0 and "feature" in node)
+        nodes[inner]["right"] = inner - 1
+        with pytest.raises(ModelFormatError, match="child index"):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("feature", [2, 99, -3])
+    def test_feature_out_of_range_rejected(self, feature):
+        doc, root = self._split_doc()
+        root["feature"] = feature
+        with pytest.raises(ModelFormatError, match="feature"):
             deserialize_model(json.dumps(doc))
 
     def test_garbage_rejected(self):

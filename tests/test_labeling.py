@@ -10,9 +10,7 @@ from windramp import (
     build_dataset,
     class_distribution,
     diff_series,
-    load_dataset,
     ramp_classes,
-    save_dataset,
 )
 
 from .conftest import make_dataset, make_series
@@ -203,31 +201,3 @@ class TestClassDistribution:
         dist = class_distribution(ds)
         assert dist[3] == (5, 100.0)
         assert all(cnt == 0 for c, (cnt, _) in dist.items() if c != 3)
-
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path, single_threshold):
-        wps = make_series(np.linspace(0.5, 18.0, 30), gaps_at=(17,))
-        ds = build_dataset(wps, HorizonSpec(steps_ahead=2, lag_count=4), single_threshold)
-        path = tmp_path / "ds.csv"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert np.array_equal(back.targets, ds.targets)
-        assert np.array_equal(back.anchor_ts, ds.anchor_ts)
-        assert back.horizon == ds.horizon
-        assert back.thresholds == ds.thresholds
-
-    def test_header_names_lags(self, tmp_path, single_threshold):
-        wps = make_series(np.linspace(0.5, 18.0, 10))
-        ds = build_dataset(wps, HorizonSpec(steps_ahead=1, lag_count=3), single_threshold)
-        path = tmp_path / "ds.csv"
-        save_dataset(ds, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "lag_2,lag_1,lag_0,target"
-
-    def test_missing_sidecar(self, tmp_path):
-        path = tmp_path / "ds.csv"
-        path.write_text("lag_0,target\n1.0,3\n")
-        with pytest.raises(DataError, match="sidecar"):
-            load_dataset(path)
