@@ -1,128 +1,43 @@
 """Wind-power ramp event classification with gradient boosted regression trees.
 
 The pipeline: load a power series (`load_series`), label S-step-ahead ramp
-classes against operator thresholds (`build_dataset`), train a from-scratch
-multi-class GBRT (`train`), and score it against persistence and majority
-baselines with the imbalance-aware metric suite (`metrics`, rare-event F1).
+classes against operator thresholds (`build_dataset`), split it
+(`stratified_split`), train a from-scratch multi-class GBRT (`train`,
+optionally after `grid_search`), and score it against persistence and
+majority baselines with accuracy, overall F1 and rare-event F1
+(`evaluate_horizons`). Everything else is imported from its module.
 """
 
-from .baselines import PersistenceResult, majority_predict, persistence_predict
 from .errors import ConfigError, DataError, ModelFormatError, TrainingError, WindRampError
-from .evaluation import (
-    ClassMetrics,
-    ConfusionMatrix,
-    GridCell,
-    MetricsReport,
-    MultiHorizonReport,
-    ParamGrid,
-    aggregate_reports,
-    confusion,
-    evaluate_multi_horizon,
-    format_report_table,
-    grid_search,
-    metrics,
-    stratified_folds,
-    stratified_split,
-)
-from .gbrt import (
-    GbrtModel,
-    HyperParams,
-    Split,
-    Tree,
-    deserialize_model,
-    find_best_split,
-    grow_tree,
-    load_model,
-    objective_trace,
-    regularized_objective,
-    save_model,
-    serialize_model,
-    softmax,
-    softmax_gradients,
-    train,
-)
-from .labeling import (
-    HorizonSpec,
-    LabeledDataset,
-    RampClass,
-    ThresholdSet,
-    assign_class,
-    assign_classes,
-    build_dataset,
-    class_distribution,
-    diff_series,
-    ramp_classes,
-)
-from .series import (
-    ColumnSchema,
-    LoadReport,
-    SeriesPoint,
-    SeriesStats,
-    WindPowerSeries,
-    load_series,
-    loads_series,
-    series_stats,
-    write_series,
-)
+from .evaluation import ParamGrid, evaluate_horizons, grid_search, stratified_split
+from .gbrt import GbrtModel, HyperParams, load_model, save_model, train
+from .labeling import HorizonSpec, LabeledDataset, ThresholdSet, build_dataset
+from .series import ColumnSchema, WindPowerSeries, load_series, write_series
 from .synthetic import generate_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassMetrics",
     "ColumnSchema",
     "ConfigError",
-    "ConfusionMatrix",
     "DataError",
     "GbrtModel",
-    "GridCell",
     "HorizonSpec",
     "HyperParams",
     "LabeledDataset",
-    "LoadReport",
-    "MetricsReport",
     "ModelFormatError",
-    "MultiHorizonReport",
     "ParamGrid",
-    "PersistenceResult",
-    "RampClass",
-    "SeriesPoint",
-    "SeriesStats",
-    "Split",
     "ThresholdSet",
     "TrainingError",
-    "Tree",
     "WindPowerSeries",
     "WindRampError",
-    "aggregate_reports",
-    "assign_class",
-    "assign_classes",
     "build_dataset",
-    "class_distribution",
-    "confusion",
-    "deserialize_model",
-    "diff_series",
-    "evaluate_multi_horizon",
-    "find_best_split",
-    "format_report_table",
+    "evaluate_horizons",
     "generate_series",
     "grid_search",
-    "grow_tree",
     "load_model",
     "load_series",
-    "loads_series",
-    "majority_predict",
-    "metrics",
-    "objective_trace",
-    "persistence_predict",
-    "ramp_classes",
-    "regularized_objective",
     "save_model",
-    "serialize_model",
-    "series_stats",
-    "softmax",
-    "softmax_gradients",
-    "stratified_folds",
     "stratified_split",
     "train",
     "write_series",

@@ -16,12 +16,11 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evaluation, gbrt, labeling, series
+from . import evaluation, gbrt, labeling, series
 from .errors import ConfigError, DataError, ModelFormatError, TrainingError, WindRampError
 
 CONFIG_VERSION = 1
@@ -350,55 +349,23 @@ def cmd_evaluate(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
     wps, _ = _load_series(cfg)
     thresholds = _thresholds(cfg)
-    rare = thresholds.rare_class_ids
 
-    gbrt_pairs, pers_pairs, maj_pairs = [], [], []
-    gbrt_time = np.zeros(2)  # seconds, examples
-    base_time = {"persistence": np.zeros(2), "majority": np.zeros(2)}
-    for s in cfg["horizons"]:
-        s = int(s)
-        model_path = _model_path(dirs, s)
-        if not model_path.exists():
-            raise DataError(f"model {model_path} missing; run `windramp train` first")
-        model = gbrt.load_model(model_path)
-        ds = _build_dataset(cfg, wps, thresholds, s)
-        train_ds, test_ds = _resplit(dirs, s, ds)
+    def horizons():
+        for s in cfg["horizons"]:
+            s = int(s)
+            model_path = _model_path(dirs, s)
+            if not model_path.exists():
+                raise DataError(f"model {model_path} missing; run `windramp train` first")
+            model = gbrt.load_model(model_path)
+            train_ds, test_ds = _resplit(dirs, s, _build_dataset(cfg, wps, thresholds, s))
+            yield model, train_ds, test_ds
 
-        t0 = time.perf_counter()
-        predicted = model.predict_class(test_ds.features)
-        gbrt_time += (time.perf_counter() - t0, len(test_ds))
-        cm = evaluation.confusion(test_ds.targets, predicted, ds.num_classes)
-        gbrt_pairs.append((evaluation.metrics(cm, rare, ds.horizon), cm))
-
-        t0 = time.perf_counter()
-        pers = baselines.persistence_predict(wps, ds.horizon, thresholds).restrict(test_ds.anchor_ts)
-        base_time["persistence"] += (time.perf_counter() - t0, pers.true.size)
-        pcm = evaluation.confusion(pers.true, pers.predicted, ds.num_classes)
-        pers_pairs.append((evaluation.metrics(pcm, rare, ds.horizon), pcm))
-
-        t0 = time.perf_counter()
-        majority = baselines.majority_predict(train_ds.targets, len(test_ds))
-        base_time["majority"] += (time.perf_counter() - t0, len(test_ds))
-        mcm = evaluation.confusion(test_ds.targets, majority, ds.num_classes)
-        maj_pairs.append((evaluation.metrics(mcm, rare, ds.horizon), mcm))
-
-    def per_example(acc: np.ndarray) -> float:
-        return float(acc[0] / acc[1]) if acc[1] else 0.0
-
-    reports = [
-        evaluation.aggregate_reports(gbrt_pairs, "gbrt", per_example(gbrt_time)),
-        evaluation.aggregate_reports(pers_pairs, "persistence", per_example(base_time["persistence"])),
-        evaluation.aggregate_reports(maj_pairs, "majority", per_example(base_time["majority"])),
-    ]
+    reports = evaluation.evaluate_horizons(wps, horizons())
     # metrics document stays deterministic; wall-clock goes to its own file
-    metrics_doc = {"models": []}
-    timing_doc = {"seconds_per_example": {}}
-    for rep in reports:
-        doc = rep.to_dict()
-        timing_doc["seconds_per_example"][rep.model_name] = doc.pop("test_seconds_per_example", None)
-        for horizon_doc in doc["per_horizon"]:
-            horizon_doc.pop("test_seconds_per_example", None)
-        metrics_doc["models"].append(doc)
+    metrics_doc = {"models": [rep.to_dict() for rep in reports]}
+    timing_doc = {
+        "seconds_per_example": {rep.model_name: rep.test_seconds_per_example for rep in reports}
+    }
     (dirs["reports"] / "evaluation.json").write_text(
         json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

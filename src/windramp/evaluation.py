@@ -1,4 +1,5 @@
-"""Splitting, cross-validated grid search, and the metric suite.
+"""Splitting, cross-validated grid search, the metric suite, and the
+scoring of a GBRT against the persistence and majority baselines.
 
 Metrics follow the one-vs-rest convention per class: precision, recall, and
 F1 from the confusion matrix, macro-averaged into an overall score, with a
@@ -9,13 +10,17 @@ predicted and never true gets F1 = 0.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
+from . import baselines
 from .errors import ConfigError, DataError
 from .gbrt import GbrtModel, HyperParams, train
 from .labeling import HorizonSpec, LabeledDataset
+from .series import WindPowerSeries
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +75,6 @@ class MetricsReport:
     rare_f1: float
     rare_classes: tuple[int, ...]
     horizon: HorizonSpec | None = None
-    test_seconds_per_example: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -85,8 +89,6 @@ class MetricsReport:
         }
         if self.horizon is not None:
             out["steps_ahead"] = self.horizon.steps_ahead
-        if self.test_seconds_per_example is not None:
-            out["test_seconds_per_example"] = self.test_seconds_per_example
         return out
 
 
@@ -292,14 +294,7 @@ def grid_search(
     table: list[GridCell] = []
     for n_est in grid.n_estimators_choices:
         for depth in grid.max_depth_choices:
-            params = HyperParams(
-                n_estimators=n_est,
-                max_depth=depth,
-                reg_lambda=fixed.reg_lambda,
-                gamma=fixed.gamma,
-                learning_rate=fixed.learning_rate,
-                min_child_hessian=fixed.min_child_hessian,
-            )
+            params = replace(fixed, n_estimators=n_est, max_depth=depth)
             scores = []
             for fold_rows in folds:
                 held = np.zeros(len(dataset), dtype=bool)
@@ -311,15 +306,7 @@ def grid_search(
             table.append(GridCell(n_est, depth, tuple(scores), float(np.mean(scores))))
 
     best = max(table, key=lambda cell: (cell.mean_score, -cell.n_estimators, -cell.max_depth))
-    best_params = HyperParams(
-        n_estimators=best.n_estimators,
-        max_depth=best.max_depth,
-        reg_lambda=fixed.reg_lambda,
-        gamma=fixed.gamma,
-        learning_rate=fixed.learning_rate,
-        min_child_hessian=fixed.min_child_hessian,
-    )
-    return best_params, table
+    return replace(fixed, n_estimators=best.n_estimators, max_depth=best.max_depth), table
 
 
 @dataclass(frozen=True)
@@ -328,6 +315,8 @@ class MultiHorizonReport:
 
     ``pooled_accuracy`` (trace over the summed confusion matrix) is carried
     alongside the headline mean-over-horizons accuracy.
+    ``test_seconds_per_example`` is wall-clock and stays out of ``to_dict``,
+    so the dictionary is a deterministic function of the predictions.
     """
 
     per_horizon: tuple[MetricsReport, ...]
@@ -339,7 +328,7 @@ class MultiHorizonReport:
     test_seconds_per_example: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "model": self.model_name,
             "mean_accuracy": self.mean_accuracy,
             "mean_overall_f1": self.mean_overall_f1,
@@ -347,9 +336,6 @@ class MultiHorizonReport:
             "pooled_accuracy": self.pooled_accuracy,
             "per_horizon": [r.to_dict() for r in self.per_horizon],
         }
-        if self.test_seconds_per_example is not None:
-            out["test_seconds_per_example"] = self.test_seconds_per_example
-        return out
 
 
 def aggregate_reports(
@@ -372,16 +358,31 @@ def aggregate_reports(
     )
 
 
-def evaluate_multi_horizon(
-    items: list[tuple[GbrtModel, LabeledDataset]],
-    model_name: str = "gbrt",
-) -> MultiHorizonReport:
-    """Evaluate one (model, test set) pair per horizon and aggregate."""
-    if not items:
-        raise DataError("no (model, test set) pairs given")
+def evaluate_horizons(
+    series: WindPowerSeries,
+    items: Iterable[tuple[GbrtModel, LabeledDataset, LabeledDataset]],
+) -> list[MultiHorizonReport]:
+    """Score GBRT, persistence and majority on each horizon's test rows.
+
+    ``items`` holds one (model, train part, test part) triple per horizon,
+    both parts split from the dataset built from ``series``. Persistence is
+    scored on the test anchors it reaches (all of them when L-1 >= S), and
+    majority predicts the modal class of the train part. Triples are
+    consumed one at a time, so a generator keeps a single horizon in memory.
+    Returns the gbrt, persistence and majority reports, in that order, each
+    with its wall-clock seconds per test example.
+    """
+    scored = {name: ([], [0.0, 0]) for name in ("gbrt", "persistence", "majority")}
+
+    def score(name, true, predicted, test: LabeledDataset, seconds: float) -> None:
+        cm = confusion(true, predicted, test.num_classes)
+        pairs, clock = scored[name]
+        pairs.append((metrics(cm, test.thresholds.rare_class_ids, test.horizon), cm))
+        clock[0] += seconds
+        clock[1] += len(true)
+
     seen = set()
-    pairs = []
-    for model, test in items:
+    for model, train_part, test in items:
         if model.n_features != test.horizon.lag_count:
             raise DataError(
                 f"horizon mismatch: model width {model.n_features} vs dataset "
@@ -396,9 +397,26 @@ def evaluate_multi_horizon(
         if s in seen:
             raise DataError(f"duplicate horizon steps_ahead={s}")
         seen.add(s)
-        cm = confusion(test.targets, model.predict_class(test.features), test.num_classes)
-        pairs.append((metrics(cm, test.thresholds.rare_class_ids, test.horizon), cm))
-    return aggregate_reports(pairs, model_name=model_name)
+
+        t0 = time.perf_counter()
+        predicted = model.predict_class(test.features)
+        score("gbrt", test.targets, predicted, test, time.perf_counter() - t0)
+
+        t0 = time.perf_counter()
+        pers = baselines.persistence_predict(series, test.horizon, test.thresholds)
+        pers = pers.restrict(test.anchor_ts)
+        score("persistence", pers.true, pers.predicted, test, time.perf_counter() - t0)
+
+        t0 = time.perf_counter()
+        majority = baselines.majority_predict(train_part.targets, len(test))
+        score("majority", test.targets, majority, test, time.perf_counter() - t0)
+
+    if not seen:
+        raise DataError("no (model, train, test) triples given")
+    return [
+        aggregate_reports(pairs, name, clock[0] / clock[1] if clock[1] else 0.0)
+        for name, (pairs, clock) in scored.items()
+    ]
 
 
 def format_report_table(reports: list[MultiHorizonReport]) -> str:

@@ -105,9 +105,6 @@ class Tree:
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def leaf_weights(self) -> np.ndarray:
-        return self.weight[self.feature < 0]
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf weight reached by every row (unscaled by the learning rate)."""
         node = np.zeros(X.shape[0], dtype=np.int32)
@@ -155,7 +152,7 @@ class Tree:
                     threshold[i] = float(node["threshold"])
                     left[i] = int(node["left"])
                     right[i] = int(node["right"])
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ModelFormatError(f"malformed tree node {i}: {node!r}") from exc
                 if feature[i] < 0:
                     raise ModelFormatError(f"tree node {i} has negative feature {feature[i]}")
@@ -418,12 +415,11 @@ class GbrtModel:
             raise DataError(f"feature row {bad} holds a non-finite value")
         return X
 
-    def raw_scores(self, X: np.ndarray, n_rounds: int | None = None) -> np.ndarray:
+    def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Accumulated per-class scores (base score + shrunken tree outputs)."""
         X = self._check_rows(X)
         scores = np.tile(self.base_score, (X.shape[0], 1))
-        use = self.n_rounds if n_rounds is None else min(n_rounds, self.n_rounds)
-        for rnd in self.trees[:use]:
+        for rnd in self.trees:
             for c, tree in enumerate(rnd):
                 scores[:, c] += self.learning_rate * tree.predict(X)
         return scores
@@ -503,37 +499,6 @@ def train(
     )
 
 
-def regularized_objective(model: GbrtModel, X: np.ndarray, targets: np.ndarray, n_rounds: int) -> float:
-    """Training objective after ``n_rounds`` rounds: cross-entropy plus the
-    leaf-count/L2 penalties of every tree added so far.
-
-    The L2 term applies to the effective leaf values (learning rate
-    included), matching what the ensemble actually adds to the scores.
-    """
-    scores = model.raw_scores(X, n_rounds)
-    y = np.asarray(targets, dtype=np.int64) - 1
-    z = scores - scores.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1)) + scores.max(axis=1)
-    loss = float(np.sum(logsum - scores[np.arange(scores.shape[0]), y]))
-    hp = model.hyperparams
-    penalty = 0.0
-    for rnd in model.trees[:n_rounds]:
-        for tree in rnd:
-            w_eff = model.learning_rate * tree.leaf_weights()
-            penalty += hp.gamma * tree.n_leaves + 0.5 * hp.reg_lambda * float(np.sum(w_eff * w_eff))
-    return loss + penalty
-
-
-def objective_trace(model: GbrtModel, dataset: LabeledDataset) -> np.ndarray:
-    """Objective after 0..n_rounds rounds on the given data (index 0 = base
-    score only). Non-increasing on the training set for learning_rate <= 1.
-    """
-    return np.array([
-        regularized_objective(model, dataset.features, dataset.targets, t)
-        for t in range(model.n_rounds + 1)
-    ])
-
-
 def serialize_model(model: GbrtModel) -> str:
     """Versioned JSON document; deserializing reproduces bit-identical
     predictions (floats use shortest round-trip formatting)."""
@@ -576,13 +541,26 @@ def deserialize_model(text: str) -> GbrtModel:
             hyperparams=hp,
             n_features=int(doc["n_features"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
+    if num_classes < 2 or model.n_features < 1:
+        raise ModelFormatError(
+            f"num_classes must be >= 2 and n_features >= 1, got {num_classes} and {model.n_features}"
+        )
     if base.shape != (num_classes,):
         raise ModelFormatError("base_score length must equal num_classes")
+    if model.learning_rate != hp.learning_rate:
+        raise ModelFormatError(
+            f"learning_rate {model.learning_rate} differs from hyperparams.learning_rate {hp.learning_rate}"
+        )
+    trees = [tree for rnd in model.trees for tree in rnd]
+    if not (np.isfinite(base).all() and all(
+        np.isfinite(t.threshold).all() and np.isfinite(t.weight).all() for t in trees
+    )):
+        raise ModelFormatError("model holds a non-finite base score, threshold or leaf weight")
     if any(len(rnd) != num_classes for rnd in model.trees):
         raise ModelFormatError("every round must hold one tree per class")
-    if any(tree.feature.max() >= model.n_features for rnd in model.trees for tree in rnd):
+    if any(tree.feature.max() >= model.n_features for tree in trees):
         raise ModelFormatError(f"a tree splits on a feature outside 0..{model.n_features - 1}")
     return model
 

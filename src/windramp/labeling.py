@@ -1,7 +1,7 @@
 """Ramp labeling and lag-feature dataset construction.
 
-Turns a power series into per-horizon classification datasets: successive
-differences over an S-step window, ramp classes against ordered thresholds,
+Turns a power series into per-horizon classification datasets: the power
+change over an S-step window, its ramp class against ordered thresholds,
 and a feature row of the last L raw power values ending at each anchor.
 """
 
@@ -57,19 +57,6 @@ class ThresholdSet:
         """Class boundaries (-T_m, ..., -T_1, 0, T_1, ..., T_m) ascending."""
         t = np.asarray(self.thresholds_mw, dtype=np.float64)
         return np.concatenate([-t[::-1], [0.0], t])
-
-
-@dataclass(frozen=True)
-class RampClass:
-    """One ramp class: contiguous id (1 = most severe down) and rarity flag."""
-
-    id: int
-    rare: bool
-
-
-def ramp_classes(thresholds: ThresholdSet) -> tuple[RampClass, ...]:
-    rare = set(thresholds.rare_class_ids)
-    return tuple(RampClass(c, c in rare) for c in range(1, thresholds.num_classes + 1))
 
 
 @dataclass(frozen=True)
@@ -143,23 +130,6 @@ class LabeledDataset:
             thresholds=self.thresholds,
             anchor_ts=self.anchor_ts[rows],
         )
-
-
-def diff_series(series: WindPowerSeries, step: int = 1) -> list[tuple[int, float]]:
-    """(timestamp, w(t) - w(t - step*dt)) pairs, never crossing a gap.
-
-    Segments shorter than ``step`` contribute nothing (they are skipped, not
-    an error).
-    """
-    if step < 1:
-        raise DataError(f"step must be >= 1, got {step}")
-    out: list[tuple[int, float]] = []
-    for ts, pw in series.segments():
-        if pw.size <= step:
-            continue
-        deltas = pw[step:] - pw[:-step]
-        out.extend(zip((int(t) for t in ts[step:]), (float(d) for d in deltas)))
-    return out
 
 
 def assign_class(delta_mw: float, thresholds: ThresholdSet) -> int:

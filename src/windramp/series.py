@@ -9,25 +9,14 @@ gap, and downstream differencing/windowing never crosses a segment boundary.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError
-
-GAP_POLICIES = ("split", "error")
-
-
-class SeriesPoint(NamedTuple):
-    """One observation: epoch seconds (UTC) and megawatts."""
-
-    timestamp: int
-    power: float
-
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -46,24 +35,6 @@ class LoadReport:
     rows_dropped: int
     gaps: int
     segments: int
-
-
-@dataclass(frozen=True)
-class SeriesStats:
-    count: int
-    min_mw: float
-    max_mw: float
-    mean_mw: float
-    capacity_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min_mw": self.min_mw,
-            "max_mw": self.max_mw,
-            "mean_mw": self.mean_mw,
-            "capacity_fraction": self.capacity_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -110,10 +81,6 @@ class WindPowerSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def points(self) -> Iterator[SeriesPoint]:
-        for t, p in zip(self.timestamps, self.powers):
-            yield SeriesPoint(int(t), float(p))
 
     def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (timestamps, powers) views, one per contiguous segment."""
@@ -163,7 +130,7 @@ def _parse_timestamp(text: str, line_no: int) -> int:
     return int(epoch)
 
 
-def _split_segments(ts: np.ndarray, resolution_s: int, gap_policy: str) -> tuple[tuple[int, int], ...]:
+def _split_segments(ts: np.ndarray, resolution_s: int) -> tuple[tuple[int, int], ...]:
     deltas = np.diff(ts)
     if np.any(deltas == 0):
         dups = np.unique(ts[1:][deltas == 0])[:10].tolist()
@@ -176,9 +143,6 @@ def _split_segments(ts: np.ndarray, resolution_s: int, gap_policy: str) -> tuple
             f"less than the declared resolution of {resolution_s}s"
         )
     gap_at = np.flatnonzero(deltas > resolution_s)
-    if gap_at.size and gap_policy == "error":
-        t0, t1 = int(ts[gap_at[0]]), int(ts[gap_at[0] + 1])
-        raise DataError(f"gap between timestamps {t0} and {t1} with gap policy 'error'")
     edges = [0] + [int(i) + 1 for i in gap_at] + [int(ts.size)]
     return tuple((edges[i], edges[i + 1]) for i in range(len(edges) - 1))
 
@@ -190,40 +154,21 @@ def load_series(
     resolution_s: int,
     rated_capacity_mw: float,
     site_id: str = "",
-    gap_policy: str = "split",
 ) -> tuple[WindPowerSeries, LoadReport]:
     """Read a delimited text file into a validated WindPowerSeries.
 
     Rows are sorted by timestamp; exact duplicates, sub-resolution strides,
-    and powers outside [0, rated_capacity_mw] are hard errors. With
-    ``gap_policy="split"`` (the default) any missing step starts a new
-    segment; ``"error"`` makes gaps fatal. No power value is ever fabricated.
+    and powers outside [0, rated_capacity_mw] are hard errors. Any missing
+    step starts a new segment; no power value is ever fabricated.
 
     Returns the series together with a LoadReport (rows read / dropped blank
     rows / gaps split / segment count).
     """
-    schema = schema or ColumnSchema()
-    if gap_policy not in GAP_POLICIES:
-        raise DataError(f"unknown gap policy {gap_policy!r}; expected one of {GAP_POLICIES}")
-
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        series, report = _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id, gap_policy)
-    return series, report
+        return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw, site_id)
 
 
-def loads_series(text: str, schema: ColumnSchema | None = None, **kwargs) -> tuple[WindPowerSeries, LoadReport]:
-    """load_series for in-memory text; same semantics and defaults."""
-    schema = schema or ColumnSchema()
-    gap_policy = kwargs.pop("gap_policy", "split")
-    if gap_policy not in GAP_POLICIES:
-        raise DataError(f"unknown gap policy {gap_policy!r}; expected one of {GAP_POLICIES}")
-    return _read_delimited(
-        io.StringIO(text), schema, kwargs["resolution_s"], kwargs["rated_capacity_mw"],
-        kwargs.get("site_id", ""), gap_policy,
-    )
-
-
-def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id, gap_policy):
+def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id):
     reader = csv.reader(fh, delimiter=schema.delimiter)
     try:
         header = next(reader)
@@ -264,7 +209,7 @@ def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id, gap_po
     order = np.argsort(ts, kind="stable")
     ts, pw = ts[order], pw[order]
     _validate_points(ts, pw, rated_capacity_mw)
-    bounds = _split_segments(ts, resolution_s, gap_policy)
+    bounds = _split_segments(ts, resolution_s)
     series = WindPowerSeries(
         timestamps=ts,
         powers=pw,
@@ -295,17 +240,3 @@ def write_series(series: WindPowerSeries, path, schema: ColumnSchema | None = No
         for t, p in zip(series.timestamps, series.powers):
             writer.writerow([int(t), repr(float(p))])
 
-
-def series_stats(series: WindPowerSeries) -> SeriesStats:
-    """Summary statistics: count, min, max, mean, mean/capacity."""
-    if len(series) == 0:
-        raise DataError("empty series")
-    pw = series.powers
-    mean = float(pw.mean())
-    return SeriesStats(
-        count=len(series),
-        min_mw=float(pw.min()),
-        max_mw=float(pw.max()),
-        mean_mw=mean,
-        capacity_fraction=mean / series.rated_capacity_mw,
-    )

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from windramp import (
-    DataError,
-    HorizonSpec,
-    ThresholdSet,
-    build_dataset,
-    confusion,
-    majority_predict,
-    metrics,
-    persistence_predict,
-)
+from windramp import DataError, HorizonSpec, ThresholdSet, build_dataset
+from windramp.baselines import majority_predict, persistence_predict
+from windramp.evaluation import confusion, metrics
 
 from .conftest import make_series
 

@@ -101,20 +101,37 @@ class TestPredict:
         assert main(["predict", str(model_path), str(src)]) == 3
         assert error_line(capsys)["error"] == "data"
 
-    @pytest.mark.parametrize("edit", ["cyclic", "feature"])
-    def test_malformed_model_exits_4(self, model_path, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["rounds"][0][0][0].update(left=0, right=0), "child index"),
+        (lambda d: d["rounds"][0][0][0].update(feature=99), "feature"),
+        (lambda d: d["hyperparams"].update(n_estimators=0), "n_estimators"),
+        (lambda d: d["base_score"].__setitem__(2, float("nan")), "non-finite"),
+        (lambda d: d["base_score"].__setitem__(0, float("inf")), "non-finite"),
+        (lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
+        (lambda d: d["hyperparams"].update(learning_rate=float("nan")), "learning_rate"),
+        (lambda d: d.update(learning_rate=5.0), "learning_rate"),
+        (lambda d: d["rounds"][0][0][0].update(threshold=float("nan")), "non-finite"),
+        (lambda d: next(n for n in d["rounds"][0][1] if "weight" in n).update(weight=float("-inf")),
+         "non-finite"),
+        (lambda d: d.update(num_classes=0, base_score=[], rounds=[]), "num_classes"),
+        (lambda d: d.update(num_classes=1, base_score=[0.0], rounds=[]), "num_classes"),
+    ], ids=["cyclic", "feature", "n_estimators_0", "nan_base_score", "inf_base_score",
+            "nan_learning_rate", "nan_hyperparams_learning_rate", "learning_rate_mismatch",
+            "nan_threshold", "inf_leaf_weight", "num_classes_0", "num_classes_1"])
+    def test_malformed_model_exits_4(self, model_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_path.read_text())
-        root = doc["rounds"][0][0][0]
-        if edit == "cyclic":
-            root["left"] = root["right"] = 0
-        else:
-            root["feature"] = 99
+        assert "feature" in doc["rounds"][0][0][0]
+        edit(doc)
         bad = tmp_path / "bad.model.json"
         bad.write_text(json.dumps(doc))
         src = tmp_path / "rows.csv"
         src.write_text(",".join(["1.0"] * LAGS) + "\n")
+        capsys.readouterr()
         assert main(["predict", str(bad), str(src)]) == 4
-        assert error_line(capsys)["error"] == "training"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "training" and message in err["message"]
 
 
 class TestConfig:

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from windramp import (
-    ConfusionMatrix,
     DataError,
+    HorizonSpec,
     HyperParams,
     ParamGrid,
     ThresholdSet,
-    confusion,
-    evaluate_multi_horizon,
+    build_dataset,
+    evaluate_horizons,
+    generate_series,
     grid_search,
-    metrics,
-    stratified_folds,
     stratified_split,
     train,
+)
+from windramp.evaluation import (
+    ConfusionMatrix,
+    aggregate_reports,
+    confusion,
+    metrics,
+    stratified_folds,
 )
 
 from .conftest import make_dataset
@@ -245,23 +251,40 @@ class TestGridSearch:
 
 
 class TestMultiHorizon:
+    @staticmethod
+    def _triples(wps, horizons, lag_count=4):
+        """(model, train, test) per horizon, split and trained as `windramp
+        train` would."""
+        thresholds = ThresholdSet.from_fraction(0.5, wps.rated_capacity_mw)
+        triples = []
+        for s in horizons:
+            ds = build_dataset(wps, HorizonSpec(steps_ahead=s, lag_count=lag_count), thresholds)
+            train_ds, test_ds = stratified_split(ds, 0.25, seed=s)
+            model = train(train_ds, HyperParams(n_estimators=2, max_depth=2))
+            triples.append((model, train_ds, test_ds))
+        return triples
+
     def test_mean_of_constant_f1(self):
-        rng = np.random.default_rng(2)
-        items = []
-        for s in range(1, 4):
-            ds = make_dataset(rng.normal(size=(60, 2)),
-                              rng.integers(1, 5, size=60), steps_ahead=s)
-            model = train(ds, HyperParams(n_estimators=2, max_depth=1, min_child_hessian=0.0))
-            items.append((model, ds))
-        report = evaluate_multi_horizon(items)
-        f1s = [r.overall_f1 for r in report.per_horizon]
-        accs = [r.accuracy for r in report.per_horizon]
-        assert report.mean_overall_f1 == pytest.approx(np.mean(f1s), abs=1e-12)
-        assert report.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-12)
-        assert len(report.per_horizon) == 3
+        wps = generate_series(600, seed=2)
+        triples = self._triples(wps, (1, 2, 3))
+        reports = evaluate_horizons(wps, iter(triples))
+        assert [r.model_name for r in reports] == ["gbrt", "persistence", "majority"]
+        for report in reports:
+            f1s = [r.overall_f1 for r in report.per_horizon]
+            accs = [r.accuracy for r in report.per_horizon]
+            assert report.mean_overall_f1 == pytest.approx(np.mean(f1s), abs=1e-12)
+            assert report.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-12)
+            assert [r.horizon.steps_ahead for r in report.per_horizon] == [1, 2, 3]
+            assert report.test_seconds_per_example >= 0.0
+            assert "test_seconds_per_example" not in report.to_dict()
+        gbrt, _, majority = reports
+        for (model, _, test), got in zip(triples, gbrt.per_horizon):
+            cm = confusion(test.targets, model.predict_class(test.features), test.num_classes)
+            assert got == metrics(cm, (1, 4), test.horizon)
+        # majority predicts one class, so at most one class has non-zero F1
+        assert all(sum(m.f1 > 0 for m in r.per_class.values()) <= 1 for r in majority.per_horizon)
 
     def test_two_point_mean(self):
-        from windramp.evaluation import aggregate_reports
         cm_a = confusion([1, 1, 2, 2], [1, 1, 2, 2], 4)  # accuracy 1.0
         cm_b = confusion([1, 1, 2, 2], [1, 2, 1, 2], 4)  # accuracy 0.5
         rep = aggregate_reports([
@@ -272,16 +295,14 @@ class TestMultiHorizon:
         assert rep.pooled_accuracy == pytest.approx(0.75, abs=1e-12)
 
     def test_width_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
-        ds = make_dataset(rng.normal(size=(40, 2)), rng.integers(1, 5, size=40))
-        model = train(ds, HyperParams(n_estimators=1, max_depth=1, min_child_hessian=0.0))
-        other = make_dataset(rng.normal(size=(40, 3)), rng.integers(1, 5, size=40))
+        wps = generate_series(400, seed=2)
+        (model, _, _), = self._triples(wps, (1,), lag_count=4)
+        (_, train_ds, test_ds), = self._triples(wps, (1,), lag_count=5)
         with pytest.raises(DataError, match="mismatch"):
-            evaluate_multi_horizon([(model, other)])
+            evaluate_horizons(wps, [(model, train_ds, test_ds)])
 
     def test_duplicate_horizon_rejected(self):
-        rng = np.random.default_rng(2)
-        ds = make_dataset(rng.normal(size=(40, 2)), rng.integers(1, 5, size=40))
-        model = train(ds, HyperParams(n_estimators=1, max_depth=1, min_child_hessian=0.0))
+        wps = generate_series(400, seed=2)
+        triple, = self._triples(wps, (1,))
         with pytest.raises(DataError, match="duplicate"):
-            evaluate_multi_horizon([(model, ds), (model, ds)])
+            evaluate_horizons(wps, [triple, triple])

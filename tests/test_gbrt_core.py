@@ -3,13 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from windramp import (
-    DataError,
-    HyperParams,
-    find_best_split,
-    grow_tree,
-    softmax_gradients,
-)
+from windramp import DataError, HyperParams
+from windramp.gbrt import find_best_split, grow_tree, softmax_gradients
 
 from .oracles import brute_force_best_split, finite_difference_gradients
 

@@ -1,48 +1,10 @@
 import numpy as np
 import pytest
 
-from windramp import (
-    DataError,
-    HorizonSpec,
-    ThresholdSet,
-    assign_class,
-    assign_classes,
-    build_dataset,
-    class_distribution,
-    diff_series,
-    ramp_classes,
-)
+from windramp import DataError, HorizonSpec, ThresholdSet, build_dataset
+from windramp.labeling import assign_class, assign_classes, class_distribution
 
 from .conftest import make_dataset, make_series
-
-
-class TestDiffSeries:
-    def test_step_one(self):
-        wps = make_series([5.0, 15.0, 12.0])
-        assert [d for _, d in diff_series(wps, 1)] == [10.0, -3.0]
-
-    def test_step_two(self):
-        wps = make_series([5.0, 15.0, 12.0])
-        assert [d for _, d in diff_series(wps, 2)] == [7.0]
-
-    def test_constant_series_all_zero(self):
-        wps = make_series([4.0] * 6)
-        for step in (1, 2, 3):
-            assert all(d == 0.0 for _, d in diff_series(wps, step))
-
-    def test_never_crosses_gap(self):
-        wps = make_series([1.0, 2.0, 8.0, 9.0], gaps_at=(2,))
-        diffs = diff_series(wps, 1)
-        assert [d for _, d in diffs] == [1.0, 1.0]
-
-    def test_short_segment_skipped(self):
-        wps = make_series([1.0, 2.0, 8.0], gaps_at=(2,))
-        assert len(diff_series(wps, 2)) == 0
-
-    def test_lengths_per_segment(self):
-        wps = make_series(np.arange(12, dtype=float), gaps_at=(7,))
-        # segment lengths 7 and 5, step 2 -> 5 + 3
-        assert len(diff_series(wps, 2)) == 8
 
 
 class TestAssignClass:
@@ -113,10 +75,8 @@ class TestAssignClass:
             ThresholdSet.from_fraction(0.0, 20.0)
 
     def test_rare_flags(self, single_threshold):
-        classes = ramp_classes(single_threshold)
-        assert [c.rare for c in classes] == [True, False, False, True]
-        six = ramp_classes(ThresholdSet((5.0, 10.0)))
-        assert [c.id for c in six if c.rare] == [1, 6]
+        assert single_threshold.rare_class_ids == (1, 4)
+        assert ThresholdSet((5.0, 10.0)).rare_class_ids == (1, 6)
 
 
 class TestBuildDataset:

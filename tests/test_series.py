@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from windramp import (
-    ColumnSchema,
-    DataError,
-    generate_series,
-    load_series,
-    loads_series,
-    series_stats,
-    write_series,
-)
+from windramp import ColumnSchema, DataError, generate_series, load_series, write_series
+
+
+def load_text(tmp_path, text, schema=None):
+    """load_series on ``text`` written to a file, at 600 s and 20 MW."""
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    return load_series(path, schema, resolution_s=600, rated_capacity_mw=20.0)
 
 
 def test_load_well_formed(tmp_path):
@@ -24,9 +23,9 @@ def test_load_well_formed(tmp_path):
     assert report.gaps == 0
 
 
-def test_gap_policy_split_makes_two_segments():
+def test_gap_policy_split_makes_two_segments(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n1200,2.0\n2400,3.0\n"
-    wps, report = loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+    wps, report = load_text(tmp_path, text)
     assert wps.segment_bounds == ((0, 2), (2, 3))
     assert report.gaps == 1
     assert report.segments == 2
@@ -36,64 +35,58 @@ def test_gap_policy_split_makes_two_segments():
     assert sum(len(p) for _, p in segments) == report.rows_read
 
 
-def test_gap_policy_error():
-    text = "timestamp,power_mw\n600,1.0\n2400,3.0\n"
-    with pytest.raises(DataError, match="gap"):
-        loads_series(text, resolution_s=600, rated_capacity_mw=20.0, gap_policy="error")
-
-
-def test_negative_power_names_offender():
+def test_negative_power_names_offender(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n1200,-1.0\n"
     with pytest.raises(DataError, match="negative power.*1200"):
-        loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+        load_text(tmp_path, text)
 
 
-def test_power_above_capacity_is_hard_error():
+def test_power_above_capacity_is_hard_error(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n1200,25.5\n"
     with pytest.raises(DataError, match="capacity"):
-        loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+        load_text(tmp_path, text)
 
 
-def test_duplicate_timestamps_listed():
+def test_duplicate_timestamps_listed(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n600,2.0\n1200,3.0\n"
     with pytest.raises(DataError, match="duplicate timestamps.*600"):
-        loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+        load_text(tmp_path, text)
 
 
-def test_malformed_row_reports_line_number():
+def test_malformed_row_reports_line_number(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n1200,oops\n"
     with pytest.raises(DataError, match="line 3"):
-        loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+        load_text(tmp_path, text)
 
 
-def test_sub_resolution_stride_rejected():
+def test_sub_resolution_stride_rejected(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n900,2.0\n"
     with pytest.raises(DataError, match="less than the declared resolution"):
-        loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+        load_text(tmp_path, text)
 
 
-def test_rows_sorted_and_iso_timestamps_normalized():
+def test_rows_sorted_and_iso_timestamps_normalized(tmp_path):
     text = (
         "timestamp,power_mw\n"
         "1970-01-01T00:20:00+00:00,2.0\n"
         "1970-01-01T00:10:00Z,1.0\n"
         "1970-01-01T00:30:00,3.0\n"
     )
-    wps, _ = loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+    wps, _ = load_text(tmp_path, text)
     assert np.array_equal(wps.timestamps, [600, 1200, 1800])
     assert np.array_equal(wps.powers, [1.0, 2.0, 3.0])
 
 
-def test_custom_schema_and_delimiter():
+def test_custom_schema_and_delimiter(tmp_path):
     text = "t;mw\n600;1.5\n1200;2.5\n"
     schema = ColumnSchema(timestamp="t", power="mw", delimiter=";")
-    wps, _ = loads_series(text, schema, resolution_s=600, rated_capacity_mw=20.0)
+    wps, _ = load_text(tmp_path, text, schema)
     assert np.array_equal(wps.powers, [1.5, 2.5])
 
 
-def test_missing_column_is_error():
+def test_missing_column_is_error(tmp_path):
     with pytest.raises(DataError, match="missing required columns"):
-        loads_series("time,power\n600,1\n", resolution_s=600, rated_capacity_mw=20.0)
+        load_text(tmp_path, "time,power\n600,1\n")
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -108,35 +101,13 @@ def test_round_trip_bitwise(tmp_path):
 
 def test_round_trip_preserves_gaps(tmp_path):
     text = "timestamp,power_mw\n600,0.125\n1200,7.3\n3000,19.999999999999\n3600,4.0\n"
-    wps, _ = loads_series(text, resolution_s=600, rated_capacity_mw=20.0)
+    wps, _ = load_text(tmp_path, text)
     path = tmp_path / "gapped.csv"
     write_series(wps, path)
     back, _ = load_series(path, resolution_s=600, rated_capacity_mw=20.0)
     assert np.array_equal(back.timestamps, wps.timestamps)
     assert back.powers.tobytes() == wps.powers.tobytes()
     assert back.segment_bounds == wps.segment_bounds
-
-
-def test_stats_basic():
-    wps, _ = loads_series(
-        "timestamp,power_mw\n600,0\n1200,10\n1800,20\n",
-        resolution_s=600,
-        rated_capacity_mw=20.0,
-    )
-    stats = series_stats(wps)
-    assert stats.count == 3
-    assert stats.min_mw == 0.0
-    assert stats.max_mw == 20.0
-    assert stats.mean_mw == 10.0
-    assert stats.capacity_fraction == 0.5
-
-
-def test_stats_single_point():
-    wps, _ = loads_series(
-        "timestamp,power_mw\n600,5\n", resolution_s=600, rated_capacity_mw=20.0
-    )
-    stats = series_stats(wps)
-    assert stats.min_mw == stats.max_mw == stats.mean_mw == 5.0
 
 
 def test_full_scale_fixture_count(tmp_path):
@@ -146,4 +117,4 @@ def test_full_scale_fixture_count(tmp_path):
     write_series(wps, path)
     back, report = load_series(path, resolution_s=600, rated_capacity_mw=20.0)
     assert report.rows_read == 157_969
-    assert series_stats(back).count == 157_969
+    assert len(back) == 157_969
