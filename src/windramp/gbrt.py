@@ -5,6 +5,16 @@ fits one regression tree per class to the first/second loss derivatives at
 the current scores, using exact greedy split finding over pre-sorted
 feature columns. The split search is feature-parallel with a deterministic
 reduction, so training output is bit-identical for any worker count.
+
+A model stores its T = rounds x classes trees (round-major, class-minor)
+stacked, each in complete binary layout of depth D, the depth of its
+deepest tree. ``feature`` and ``threshold`` (T x 2^D-1) hold the internal
+slots: the children of slot i are slots 2i+1 and 2i+2, and a row goes to
+the right one when x[feature] >= threshold. A slot that does not split has
+feature -1 and sends every row left (its threshold is +inf in memory).
+``leaf`` (T x 2^D) holds the weights one level below; a leaf shallower than
+D is copied to every slot under it. Prediction walks all trees of a block
+of rows at once, in D vectorized steps.
 """
 
 from __future__ import annotations
@@ -13,19 +23,26 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ModelFormatError, TrainingError
 from .labeling import LabeledDataset
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# the layout gives every tree 2^max_depth leaf slots
+MAX_DEPTH = 12
 
 # below this many row*feature cells a node's split search runs serially;
 # thread dispatch overhead dominates otherwise
 _PARALLEL_MIN_CELLS = 16384
+
+# (row, tree) node ids walked per block of rows: small enough to stay in cache
+_BLOCK_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -46,10 +63,14 @@ class HyperParams:
     min_child_hessian: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_estimators", "max_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_estimators < 1:
             raise ConfigError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        if self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ConfigError(f"max_depth must be in 1..{MAX_DEPTH}, got {self.max_depth}")
         if not (self.reg_lambda >= 0 and math.isfinite(self.reg_lambda)):
             raise ConfigError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
@@ -59,16 +80,6 @@ class HyperParams:
         if not (self.min_child_hessian >= 0 and math.isfinite(self.min_child_hessian)):
             raise ConfigError(f"min_child_hessian must be >= 0, got {self.min_child_hessian}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "reg_lambda": self.reg_lambda,
-            "gamma": self.gamma,
-            "learning_rate": self.learning_rate,
-            "min_child_hessian": self.min_child_hessian,
-        }
-
 
 @dataclass(frozen=True)
 class Split:
@@ -77,103 +88,29 @@ class Split:
     gain: float
 
 
-class Tree:
-    """One regression tree as flat node arrays (index 0 = root).
+class Tree(NamedTuple):
+    """One tree in complete binary layout (see the module docstring).
 
-    ``feature[i] == -1`` marks a leaf whose value is ``weight[i]``; internal
-    nodes route x[feature] < threshold to ``left``, else ``right``. Children
-    always come after their parent, so every path from the root ends. The
-    node format carries a default direction for rows with missing values;
-    inputs are dense and finite, so it is always "left".
+    Every split's parent splits too, so the slots with ``feature >= 0`` are
+    exactly the tree's internal nodes; the counts ignore padding.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "weight", "depth")
-
-    def __init__(self, feature, threshold, left, right, weight, depth):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.depth = int(depth)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.size)
+    feature: np.ndarray
+    threshold: np.ndarray
+    leaf: np.ndarray
 
     @property
     def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
+        return int(np.count_nonzero(self.feature >= 0)) + 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weight reached by every row (unscaled by the learning rate)."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(self.depth):
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                break
-            cur = node[active]
-            go_left = X[active, feat[active]] < self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.weight[node]
+    @property
+    def n_nodes(self) -> int:
+        return 2 * self.n_leaves - 1
 
-    def to_nodes(self) -> list[dict]:
-        nodes = []
-        for i in range(self.n_nodes):
-            if self.feature[i] < 0:
-                nodes.append({"weight": float(self.weight[i])})
-            else:
-                nodes.append({
-                    "feature": int(self.feature[i]),
-                    "threshold": float(self.threshold[i]),
-                    "left": int(self.left[i]),
-                    "right": int(self.right[i]),
-                    "default": "left",
-                })
-        return nodes
-
-    @classmethod
-    def from_nodes(cls, nodes: list[dict]) -> "Tree":
-        if not nodes:
-            raise ModelFormatError("tree with no nodes")
-        n = len(nodes)
-        feature = np.full(n, -1, dtype=np.int32)
-        threshold = np.zeros(n, dtype=np.float64)
-        left = np.zeros(n, dtype=np.int32)
-        right = np.zeros(n, dtype=np.int32)
-        weight = np.zeros(n, dtype=np.float64)
-        for i, node in enumerate(nodes):
-            if "weight" in node:
-                weight[i] = float(node["weight"])
-            else:
-                try:
-                    feature[i] = int(node["feature"])
-                    threshold[i] = float(node["threshold"])
-                    left[i] = int(node["left"])
-                    right[i] = int(node["right"])
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ModelFormatError(f"malformed tree node {i}: {node!r}") from exc
-                if feature[i] < 0:
-                    raise ModelFormatError(f"tree node {i} has negative feature {feature[i]}")
-                if not (i < left[i] < n and i < right[i] < n):
-                    raise ModelFormatError(
-                        f"tree node {i} has child index out of range {i + 1}..{n - 1}"
-                    )
-        return cls(feature, threshold, left, right, weight, _tree_depth(feature, left, right))
-
-
-def _tree_depth(feature, left, right) -> int:
-    depth = 0
-    stack = [(0, 0)]
-    while stack:
-        i, d = stack.pop()
-        if feature[i] < 0:
-            depth = max(depth, d)
-        else:
-            stack.append((int(left[i]), d + 1))
-            stack.append((int(right[i]), d + 1))
-    return depth
+    @property
+    def depth(self) -> int:
+        splits = np.flatnonzero(self.feature >= 0)
+        return int(splits[-1] + 1).bit_length() if splits.size else 0
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -302,7 +239,8 @@ def grow_tree(
     executor: ThreadPoolExecutor | None = None,
     train_leaf_values: np.ndarray | None = None,
 ) -> Tree:
-    """Greedy depth-first growth to max_depth.
+    """Greedy depth-first growth to max_depth, straight into the complete
+    binary layout of depth max_depth.
 
     Leaf weight is -G/(H+lambda); the learning rate is applied when scores
     are accumulated, not here. Each node carries its rows pre-sorted per
@@ -314,38 +252,31 @@ def grow_tree(
     """
     if node_sorted[0].size == 0:
         raise TrainingError("cannot grow a tree on an empty row set")
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    weight: list[float] = []
+    top = params.max_depth
+    feature = np.full(2**top - 1, -1, dtype=np.int32)
+    threshold = np.full(2**top - 1, np.inf)
+    leaf = np.zeros(2**top)
     lam = params.reg_lambda
     route = np.zeros(X.shape[0], dtype=bool)
-    max_depth_seen = 0
 
-    def add_leaf(rows: np.ndarray, g_sum: float, h_sum: float, depth: int) -> int:
-        nonlocal max_depth_seen
-        max_depth_seen = max(max_depth_seen, depth)
+    def add_leaf(slot: int, rows: np.ndarray, g_sum: float, h_sum: float, depth: int) -> None:
         denom = h_sum + lam
         value = -g_sum / denom if denom > 0 else 0.0
         if train_leaf_values is not None:
             train_leaf_values[rows] = value
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(0)
-        right.append(0)
-        weight.append(value)
-        return len(feature) - 1
+        span = 2 ** (top - depth)  # leaf slots under this one
+        first = (slot + 1 - 2**depth) * span
+        leaf[first:first + span] = value
 
-    def build(idx_cols, val_cols, g_cols, h_cols, depth: int) -> int:
+    def build(slot: int, idx_cols, val_cols, g_cols, h_cols, depth: int) -> None:
         rows = idx_cols[0]
         g_sum = float(g_cols[0].sum())
         h_sum = float(h_cols[0].sum())
         if depth >= params.max_depth:
-            return add_leaf(rows, g_sum, h_sum, depth)
+            return add_leaf(slot, rows, g_sum, h_sum, depth)
         split = _search_columns(list(zip(val_cols, g_cols, h_cols)), params, executor)
         if split is None:
-            return add_leaf(rows, g_sum, h_sum, depth)
+            return add_leaf(slot, rows, g_sum, h_sum, depth)
         j = split.feature
         route[idx_cols[j]] = val_cols[j] < split.threshold
         masks = [route[idx] for idx in idx_cols]
@@ -359,35 +290,34 @@ def grow_tree(
         )
         if lefts[0][0].size == 0 or rights[0][0].size == 0:
             # degenerate midpoint (adjacent representable values)
-            return add_leaf(rows, g_sum, h_sum, depth)
+            return add_leaf(slot, rows, g_sum, h_sum, depth)
         idx_cols = val_cols = g_cols = h_cols = masks = None  # free before recursing
-        node = len(feature)
-        feature.append(j)
-        threshold.append(split.threshold)
-        left.append(-1)
-        right.append(-1)
-        weight.append(0.0)
-        left[node] = build(*lefts, depth + 1)
+        feature[slot] = j
+        threshold[slot] = split.threshold
+        build(2 * slot + 1, *lefts, depth + 1)
         lefts = None
-        right[node] = build(*rights, depth + 1)
-        return node
+        build(2 * slot + 2, *rights, depth + 1)
 
     val_cols = [X[idx, j] for j, idx in enumerate(node_sorted)]
     g_cols = [grad[idx] for idx in node_sorted]
     h_cols = [hess[idx] for idx in node_sorted]
-    build(list(node_sorted), val_cols, g_cols, h_cols, 0)
-    return Tree(feature, threshold, left, right, weight, max_depth_seen)
+    build(0, list(node_sorted), val_cols, g_cols, h_cols, 0)
+    return Tree(feature, threshold, leaf)
 
 
 @dataclass(frozen=True)
 class GbrtModel:
-    """Trained ensemble: one tree per class per boosting round.
+    """Trained ensemble: one tree per class per boosting round, stacked in
+    the layout the module docstring describes (``feature``, ``threshold``
+    and ``leaf`` have one row per tree, round-major and class-minor).
 
     Immutable after training; prediction is read-only and safe to call from
     many threads at once.
     """
 
-    trees: tuple[tuple[Tree, ...], ...]
+    feature: np.ndarray
+    threshold: np.ndarray
+    leaf: np.ndarray
     num_classes: int
     learning_rate: float
     base_score: np.ndarray
@@ -395,13 +325,22 @@ class GbrtModel:
     n_features: int
 
     def __post_init__(self):
-        base = np.ascontiguousarray(self.base_score, dtype=np.float64)
-        base.setflags(write=False)
-        object.__setattr__(self, "base_score", base)
+        for name, dtype in (("feature", np.int32), ("threshold", np.float64),
+                            ("leaf", np.float64), ("base_score", np.float64)):
+            array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_rounds(self) -> int:
-        return len(self.trees)
+        return self.leaf.shape[0] // self.num_classes
+
+    @property
+    def trees(self) -> tuple[tuple[Tree, ...], ...]:
+        """Per-round tuples of per-class read-only tree views (padding included)."""
+        views = [Tree(*rows) for rows in zip(self.feature, self.threshold, self.leaf)]
+        c = self.num_classes
+        return tuple(tuple(views[k:k + c]) for k in range(0, len(views), c))
 
     def _check_rows(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -416,12 +355,34 @@ class GbrtModel:
         return X
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        """Accumulated per-class scores (base score + shrunken tree outputs)."""
+        """Accumulated per-class scores: the base score plus every tree's
+        shrunken leaf weight, added round by round."""
         X = self._check_rows(X)
-        scores = np.tile(self.base_score, (X.shape[0], 1))
-        for rnd in self.trees:
-            for c, tree in enumerate(rnd):
-                scores[:, c] += self.learning_rate * tree.predict(X)
+        n_trees, n_leaf_slots = self.leaf.shape
+        # node ids index the flat arrays: slot i of tree t is t*(2^D-1) + i,
+        # so its children 2i+1 and 2i+2 are 2*node + step (+1 to go right)
+        first = np.arange(n_trees) * (n_leaf_slots - 1)
+        step = 1 - first
+        # after D steps node is t*(2^D-1) + 2^D-1 + j; leaf slot j of tree t is t*2^D + j
+        to_leaf = np.arange(n_trees) + 1 - n_leaf_slots
+        scaled = self.learning_rate * self.leaf
+        block = max(1, _BLOCK_NODES // n_trees)
+        scores = np.empty((X.shape[0], self.num_classes))
+        for start in range(0, X.shape[0], block):
+            rows = X[start:start + block]
+            row_first = np.arange(0, rows.size, self.n_features)[:, None]
+            node = np.repeat(first[None], len(rows), axis=0)
+            for _ in range(n_leaf_slots.bit_length() - 1):
+                # feature -1 reads some finite value, never >= +inf: left
+                right = rows.take(self.feature.take(node) + row_first) >= self.threshold.take(node)
+                node *= 2
+                node += step
+                node += right
+            terms = np.empty((len(rows), self.n_rounds + 1, self.num_classes))
+            terms[:, 0] = self.base_score
+            terms[:, 1:] = scaled.take(node + to_leaf).reshape(len(rows), self.n_rounds, -1)
+            # cumsum adds in order, exactly as a loop over the rounds would
+            scores[start:start + len(rows)] = np.cumsum(terms, axis=1)[:, -1]
         return scores
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -469,28 +430,29 @@ def train(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
-    rounds: list[tuple[Tree, ...]] = []
+    trees: list[Tree] = []
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     leaf_values = np.empty(n, dtype=np.float64)
     try:
         for _ in range(params.n_estimators):
             g, h = softmax_gradients(scores, y)
-            round_trees = []
             for c in range(num_classes):
-                tree = grow_tree(
+                trees.append(grow_tree(
                     X, sorted_cols, np.ascontiguousarray(g[:, c]),
                     np.ascontiguousarray(h[:, c]), params, executor,
                     train_leaf_values=leaf_values,
-                )
-                round_trees.append(tree)
+                ))
                 scores[:, c] += params.learning_rate * leaf_values
-            rounds.append(tuple(round_trees))
     finally:
         if executor is not None:
             executor.shutdown()
 
+    # every tree was grown in a depth-max_depth layout: cut them all to the deepest one
+    depth = max(tree.depth for tree in trees)
     return GbrtModel(
-        trees=tuple(rounds),
+        feature=[tree.feature[:2**depth - 1] for tree in trees],
+        threshold=[tree.threshold[:2**depth - 1] for tree in trees],
+        leaf=[tree.leaf[:: 2 ** (params.max_depth - depth)] for tree in trees],
         num_classes=num_classes,
         learning_rate=params.learning_rate,
         base_score=base_score,
@@ -501,15 +463,23 @@ def train(
 
 def serialize_model(model: GbrtModel) -> str:
     """Versioned JSON document; deserializing reproduces bit-identical
-    predictions (floats use shortest round-trip formatting)."""
+    predictions (floats use shortest round-trip formatting).
+
+    Format 2 holds the stacked layout of the module docstring as three
+    lists with one row per tree, round-major and class-minor: ``feature``
+    and ``threshold`` with 2^D - 1 entries each, ``leaf`` with 2^D. A slot
+    that does not split is written as feature -1 with threshold 0.
+    """
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "num_classes": model.num_classes,
         "learning_rate": model.learning_rate,
-        "base_score": [float(b) for b in model.base_score],
-        "hyperparams": model.hyperparams.to_dict(),
+        "base_score": model.base_score.tolist(),
+        "hyperparams": asdict(model.hyperparams),
         "n_features": model.n_features,
-        "rounds": [[tree.to_nodes() for tree in rnd] for rnd in model.trees],
+        "feature": model.feature.tolist(),
+        "threshold": np.where(model.feature < 0, 0.0, model.threshold).tolist(),
+        "leaf": model.leaf.tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -524,44 +494,65 @@ def deserialize_model(text: str) -> GbrtModel:
     version = doc.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported model version {version!r} (expected {MODEL_FORMAT_VERSION})"
+            f"unsupported model version {version!r} (expected {MODEL_FORMAT_VERSION}); "
+            "retrain the model"
         )
     try:
         num_classes = int(doc["num_classes"])
         hp = HyperParams(**doc["hyperparams"])
         base = np.asarray(doc["base_score"], dtype=np.float64)
-        rounds = tuple(
-            tuple(Tree.from_nodes(nodes) for nodes in rnd) for rnd in doc["rounds"]
-        )
-        model = GbrtModel(
-            trees=rounds,
-            num_classes=num_classes,
-            learning_rate=float(doc["learning_rate"]),
-            base_score=base,
-            hyperparams=hp,
-            n_features=int(doc["n_features"]),
-        )
+        learning_rate = float(doc["learning_rate"])
+        n_features = int(doc["n_features"])
+        feature, threshold, leaf = (np.asarray(doc[key]) for key in ("feature", "threshold", "leaf"))
     except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
-    if num_classes < 2 or model.n_features < 1:
-        raise ModelFormatError(
-            f"num_classes must be >= 2 and n_features >= 1, got {num_classes} and {model.n_features}"
-        )
+    if any(a.ndim != 2 or (a.size and a.dtype.kind not in kinds)
+           for a, kinds in ((feature, "i"), (threshold, "iuf"), (leaf, "iuf"))):
+        raise ModelFormatError("feature, threshold and leaf must be lists of equal-length lists of numbers")
+    threshold, leaf = threshold.astype(np.float64), leaf.astype(np.float64)
+    if num_classes < 2 or not 1 <= n_features <= np.iinfo(np.int32).max:
+        raise ModelFormatError(f"num_classes must be >= 2 and n_features in 1..2^31-1, got "
+                               f"{num_classes} and {n_features}")
     if base.shape != (num_classes,):
         raise ModelFormatError("base_score length must equal num_classes")
-    if model.learning_rate != hp.learning_rate:
-        raise ModelFormatError(
-            f"learning_rate {model.learning_rate} differs from hyperparams.learning_rate {hp.learning_rate}"
-        )
-    trees = [tree for rnd in model.trees for tree in rnd]
-    if not (np.isfinite(base).all() and all(
-        np.isfinite(t.threshold).all() and np.isfinite(t.weight).all() for t in trees
-    )):
+    if learning_rate != hp.learning_rate:
+        raise ModelFormatError(f"learning_rate {learning_rate} differs from hyperparams.learning_rate "
+                               f"{hp.learning_rate}")
+    if not (np.isfinite(base).all() and np.isfinite(threshold).all() and np.isfinite(leaf).all()):
         raise ModelFormatError("model holds a non-finite base score, threshold or leaf weight")
-    if any(len(rnd) != num_classes for rnd in model.trees):
-        raise ModelFormatError("every round must hold one tree per class")
-    if any(tree.feature.max() >= model.n_features for tree in trees):
-        raise ModelFormatError(f"a tree splits on a feature outside 0..{model.n_features - 1}")
+    n_trees, n_slots = feature.shape
+    if n_trees == 0 or n_trees % num_classes:
+        raise ModelFormatError(f"the model must hold a positive multiple of {num_classes} trees, got {n_trees}")
+    if threshold.shape != feature.shape or leaf.shape != (n_trees, n_slots + 1) or n_slots & (n_slots + 1):
+        raise ModelFormatError(f"layout must be T x 2^D-1 feature and threshold rows and T x 2^D leaf rows, "
+                               f"got {feature.shape}, {threshold.shape} and {leaf.shape}")
+    if n_slots.bit_length() > hp.max_depth:
+        raise ModelFormatError(f"layout depth {n_slots.bit_length()} exceeds max_depth {hp.max_depth}")
+    if feature.size and (feature.min() < -1 or feature.max() >= n_features):
+        raise ModelFormatError(f"a tree splits on a feature outside 0..{n_features - 1}")
+    if np.any((feature[:, 1:] >= 0) & (feature[:, (np.arange(1, n_slots) - 1) // 2] < 0)):
+        raise ModelFormatError("a tree splits below a slot that does not split")
+    for level in range(n_slots.bit_length()):
+        blocks = leaf.reshape(n_trees, 2**level, -1)  # the leaf slots under each slot of the level
+        if np.any((feature[:, 2**level - 1:2 * 2**level - 1, None] < 0) & (blocks != blocks[..., :1])):
+            raise ModelFormatError("the leaf slots under a slot that does not split must hold one weight")
+    model = GbrtModel(
+        feature=feature,
+        threshold=np.where(feature < 0, np.inf, threshold),
+        leaf=leaf,
+        num_classes=num_classes,
+        learning_rate=learning_rate,
+        base_score=base,
+        hyperparams=hp,
+        n_features=n_features,
+    )
+    # every partial sum of a score is bounded by this sequential sum, so a
+    # finite bound means predict can never overflow into inf or NaN
+    largest = np.abs(model.leaf).max(axis=1).reshape(model.n_rounds, num_classes)
+    with np.errstate(over="ignore"):
+        bound = np.cumsum(np.vstack([np.abs(base), learning_rate * largest]), axis=0)[-1]
+    if not np.isfinite(bound).all():
+        raise ModelFormatError("leaf weights this large overflow the scores to infinity")
     return model
 
 

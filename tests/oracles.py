@@ -115,8 +115,52 @@ def naive_metrics(true, predicted, num_classes):
     return accuracy, per_class, macro_f1
 
 
+def leaf_slot(feature, threshold, x):
+    """Index into a tree's ``leaf`` row of the slot one row reaches.
+
+    Slot i's children are 2i+1 (x[feature] < threshold) and 2i+2; a slot
+    whose feature is -1 is a leaf, and its weight sits at its leftmost
+    descendant on the leaf level.
+    """
+    n = len(feature)
+    i = 0
+    while i < n and feature[i] >= 0:
+        i = 2 * i + 1 if x[feature[i]] < threshold[i] else 2 * i + 2
+    while i < n:
+        i = 2 * i + 1
+    return i - n
+
+
+def document_scores(doc, x):
+    """Per-class raw scores of one row under a format-2 model document: the
+    base score plus learning_rate times each tree's leaf, added tree by tree
+    in document order (round-major, class-minor)."""
+    num_classes = doc["num_classes"]
+    scores = [float(b) for b in doc["base_score"]]
+    for t, (feature, threshold, leaf) in enumerate(zip(doc["feature"], doc["threshold"], doc["leaf"])):
+        scores[t % num_classes] += doc["learning_rate"] * leaf[leaf_slot(feature, threshold, x)]
+    return scores
+
+
+def tree_leaf_weights(feature, leaf):
+    """Weights of a tree's real leaves: the slots reached through splits
+    that do not split themselves (layout padding is not counted)."""
+    n = len(feature)
+    weights = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i < n and feature[i] >= 0:
+            stack += [2 * i + 1, 2 * i + 2]
+            continue
+        while i < n:
+            i = 2 * i + 1
+        weights.append(leaf[i - n])
+    return weights
+
+
 def model_objective(doc, X, targets):
-    """Eq.-style objective recomputed from a serialized model document:
+    """Eq.-style objective recomputed from a format-2 model document:
     cross-entropy of the accumulated scores plus, per tree, the leaf-count
     penalty and the L2 penalty on effective (shrunken) leaf values.
 
@@ -126,24 +170,19 @@ def model_objective(doc, X, targets):
     lr = doc["learning_rate"]
     lam = doc["hyperparams"]["reg_lambda"]
     gamma = doc["hyperparams"]["gamma"]
+    num_classes = doc["num_classes"]
     y = [int(t) - 1 for t in targets]
-
-    def tree_value(nodes, x):
-        i = 0
-        while "weight" not in nodes[i]:
-            node = nodes[i]
-            i = node["left"] if x[node["feature"]] < node["threshold"] else node["right"]
-        return nodes[i]["weight"]
 
     scores = np.tile(np.asarray(doc["base_score"], dtype=np.float64), (X.shape[0], 1))
     trace = []
     penalty = 0.0
     trace.append(cross_entropy_loss(scores, y) + penalty)
-    for rnd in doc["rounds"]:
-        for c, nodes in enumerate(rnd):
+    trees = list(zip(doc["feature"], doc["threshold"], doc["leaf"]))
+    for start in range(0, len(trees), num_classes):
+        for c, (feature, threshold, leaf) in enumerate(trees[start:start + num_classes]):
             for i, x in enumerate(X):
-                scores[i, c] += lr * tree_value(nodes, x)
-            leaves = [node["weight"] for node in nodes if "weight" in node]
+                scores[i, c] += lr * leaf[leaf_slot(feature, threshold, x)]
+            leaves = tree_leaf_weights(feature, leaf)
             penalty += gamma * len(leaves) + 0.5 * lam * sum((lr * w) ** 2 for w in leaves)
         trace.append(cross_entropy_loss(scores, y) + penalty)
     return trace

@@ -102,25 +102,31 @@ class TestPredict:
         assert error_line(capsys)["error"] == "data"
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["rounds"][0][0][0].update(left=0, right=0), "child index"),
-        (lambda d: d["rounds"][0][0][0].update(feature=99), "feature"),
+        (lambda d: [row.pop() for key in ("feature", "threshold") for row in d[key]], "layout"),
+        (lambda d: next(row for row in d["feature"] if max(row[1:]) >= 0).__setitem__(0, -1),
+         "below a slot that does not split"),
+        (lambda d: d["feature"][0].__setitem__(0, 99), "feature"),
         (lambda d: d["hyperparams"].update(n_estimators=0), "n_estimators"),
+        (lambda d: d["hyperparams"].update(n_estimators=2.5), "n_estimators"),
         (lambda d: d["base_score"].__setitem__(2, float("nan")), "non-finite"),
         (lambda d: d["base_score"].__setitem__(0, float("inf")), "non-finite"),
         (lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
         (lambda d: d["hyperparams"].update(learning_rate=float("nan")), "learning_rate"),
         (lambda d: d.update(learning_rate=5.0), "learning_rate"),
-        (lambda d: d["rounds"][0][0][0].update(threshold=float("nan")), "non-finite"),
-        (lambda d: next(n for n in d["rounds"][0][1] if "weight" in n).update(weight=float("-inf")),
-         "non-finite"),
-        (lambda d: d.update(num_classes=0, base_score=[], rounds=[]), "num_classes"),
-        (lambda d: d.update(num_classes=1, base_score=[0.0], rounds=[]), "num_classes"),
-    ], ids=["cyclic", "feature", "n_estimators_0", "nan_base_score", "inf_base_score",
-            "nan_learning_rate", "nan_hyperparams_learning_rate", "learning_rate_mismatch",
-            "nan_threshold", "inf_leaf_weight", "num_classes_0", "num_classes_1"])
+        (lambda d: d["threshold"][0].__setitem__(0, float("nan")), "non-finite"),
+        (lambda d: d["leaf"][1].__setitem__(0, float("-inf")), "non-finite"),
+        (lambda d: d.update(learning_rate=1.0, hyperparams={**d["hyperparams"], "learning_rate": 1.0},
+                            leaf=[[1e308] * len(row) for row in d["leaf"]]), "overflow"),
+        (lambda d: d.update(num_classes=0, base_score=[]), "num_classes"),
+        (lambda d: d.update(num_classes=1, base_score=[0.0]), "num_classes"),
+        (lambda d: d.update(version=1), "version 1"),
+    ], ids=["layout_length", "split_under_leaf", "feature", "n_estimators_0", "n_estimators_float",
+            "nan_base_score", "inf_base_score", "nan_learning_rate", "nan_hyperparams_learning_rate",
+            "learning_rate_mismatch", "nan_threshold", "inf_leaf_weight", "huge_leaf_weights",
+            "num_classes_0", "num_classes_1", "version_1"])
     def test_malformed_model_exits_4(self, model_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_path.read_text())
-        assert "feature" in doc["rounds"][0][0][0]
+        assert doc["feature"][0][0] >= 0
         edit(doc)
         bad = tmp_path / "bad.model.json"
         bad.write_text(json.dumps(doc))
@@ -147,6 +153,14 @@ class TestConfig:
         assert cfg["thresholds_mw"] == [8.0]  # config over default
         assert cfg["workers"] == 1 and cfg["resolution_s"] == 600  # defaults
         assert cfg["horizons"] == [1, 3]
+
+    @pytest.mark.parametrize("hyperparams", [{"n_estimators": 2.5}, {"max_depth": 40}],
+                             ids=["n_estimators_float", "max_depth_40"])
+    def test_bad_hyperparams_exit_2(self, workspace, capsys, hyperparams):
+        workspace["config"].write_text(json.dumps({"version": 1, "hyperparams": hyperparams}))
+        assert main(workspace["argv"]("train")) == 2
+        err = error_line(capsys)
+        assert err["error"] == "config" and next(iter(hyperparams)) in err["message"]
 
     def test_missing_capacity_exits_2(self, workspace, capsys):
         argv = workspace["argv"]("prepare")

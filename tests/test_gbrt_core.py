@@ -6,7 +6,7 @@ import pytest
 from windramp import DataError, HyperParams
 from windramp.gbrt import find_best_split, grow_tree, softmax_gradients
 
-from .oracles import brute_force_best_split, finite_difference_gradients
+from .oracles import brute_force_best_split, finite_difference_gradients, leaf_slot
 
 
 class TestSoftmaxGradients:
@@ -53,6 +53,10 @@ class TestSoftmaxGradients:
     def test_bad_targets_rejected(self):
         with pytest.raises(DataError):
             softmax_gradients(np.zeros((2, 3)), np.array([0, 3]))
+
+
+def _tree_values(tree, X):
+    return [tree.leaf[leaf_slot(tree.feature, tree.threshold, x)] for x in X]
 
 
 def _sorted_cols(X):
@@ -149,7 +153,7 @@ class TestGrowTree:
         assert tree.depth == 1
         assert tree.n_leaves == 2
         # w* = -G/(H+lambda) per side
-        assert tree.predict(X) == pytest.approx([-0.5, 0.5], abs=1e-15)
+        assert _tree_values(tree, X) == pytest.approx([-0.5, 0.5], abs=1e-15)
 
     def test_zero_gradients_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -159,7 +163,7 @@ class TestGrowTree:
         tree = grow_tree(X, _sorted_cols(X), g, h, params)
         assert tree.n_leaves == 1
         assert tree.depth == 0
-        assert tree.predict(X) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+        assert _tree_values(tree, X) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
     @pytest.mark.parametrize("max_depth", [1, 2, 3, 5])
     def test_depth_bound(self, max_depth):
@@ -178,16 +182,17 @@ class TestGrowTree:
         h = np.full(32, 0.25)
         params = HyperParams(n_estimators=1, max_depth=4, min_child_hessian=0.0)
         tree = grow_tree(X, _sorted_cols(X), g, h, params)
-        # walk the full training set down the tree: every internal node must
-        # route at least one row to each child
-        counts = np.zeros(tree.n_nodes, dtype=int)
+        # walk the full training set down the tree (children of slot i at
+        # 2i+1 and 2i+2): every split must route at least one row to each
+        # child
+        n = tree.feature.size
+        counts = np.zeros(2 * n + 1, dtype=int)
         for x in X:
             i = 0
             counts[i] += 1
-            while tree.feature[i] >= 0:
-                i = tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+            while i < n and tree.feature[i] >= 0:
+                i = 2 * i + 1 if x[tree.feature[i]] < tree.threshold[i] else 2 * i + 2
                 counts[i] += 1
-        for i in range(tree.n_nodes):
-            if tree.feature[i] >= 0:
-                assert counts[tree.left[i]] > 0
-                assert counts[tree.right[i]] > 0
+        for i in np.flatnonzero(tree.feature >= 0):
+            assert counts[2 * i + 1] > 0
+            assert counts[2 * i + 2] > 0

@@ -7,7 +7,7 @@ from windramp import ConfigError, DataError, HyperParams, ModelFormatError, Trai
 from windramp.gbrt import deserialize_model, serialize_model
 
 from .conftest import make_dataset, quadrant_dataset
-from .oracles import model_objective
+from .oracles import model_objective, tree_leaf_weights
 
 
 def small_params(**overrides):
@@ -25,6 +25,14 @@ class TestTrain:
     def test_n_estimators_zero_rejected(self):
         with pytest.raises(ConfigError):
             HyperParams(n_estimators=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_estimators", 2.5), ("n_estimators", True), ("n_estimators", "3"),
+        ("max_depth", 4.0), ("max_depth", False), ("max_depth", 13), ("max_depth", 40),
+    ])
+    def test_non_integer_or_too_deep_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            HyperParams(**{field: value})
 
     def test_single_round_model(self):
         ds = quadrant_dataset(n=24)
@@ -165,15 +173,32 @@ class TestModelIO:
         ds = quadrant_dataset(n=30)
         model = train(ds, small_params(n_estimators=3))
         doc = json.loads(serialize_model(model))
-        assert doc["version"] == 1
+        assert set(doc) == {"version", "num_classes", "learning_rate", "base_score", "hyperparams",
+                            "n_features", "feature", "threshold", "leaf"}
+        assert doc["version"] == 2
         assert doc["num_classes"] == 4
         assert len(doc["base_score"]) == 4
-        assert len(doc["rounds"]) == 3
-        assert all(len(rnd) == 4 for rnd in doc["rounds"])
-        internal = [n for n in doc["rounds"][0][0] if "weight" not in n]
-        for node in internal:
-            assert set(node) == {"feature", "threshold", "left", "right", "default"}
-            assert node["default"] == "left"
+        n_slots = len(doc["feature"][0])
+        depth = max(t.depth for rnd in model.trees for t in rnd)
+        assert n_slots == 2**depth - 1
+        for key, width in (("feature", n_slots), ("threshold", n_slots), ("leaf", n_slots + 1)):
+            assert len(doc[key]) == 3 * 4
+            assert all(len(row) == width for row in doc[key])
+        # a slot that does not split is written with threshold 0, never Infinity
+        for feature, threshold in zip(doc["feature"], doc["threshold"]):
+            assert all(t == 0.0 for f, t in zip(feature, threshold) if f == -1)
+
+    def test_tree_views_count_real_nodes(self):
+        ds = quadrant_dataset(n=30)
+        model = train(ds, small_params(n_estimators=3))
+        doc = json.loads(serialize_model(model))
+        for t, tree in enumerate(tree for rnd in model.trees for tree in rnd):
+            leaves = tree_leaf_weights(doc["feature"][t], doc["leaf"][t])
+            assert tree.n_leaves == len(leaves)
+            assert tree.n_nodes == 2 * len(leaves) - 1
+            assert not tree.leaf.flags.writeable
+        # this model has leaves above depth D, so the layout holds padding
+        assert any(t.n_leaves < 2**t.depth for rnd in model.trees for t in rnd)
 
     def test_truncated_document_rejected(self):
         ds = quadrant_dataset(n=30)
@@ -191,28 +216,46 @@ class TestModelIO:
     def _split_doc(self):
         ds = quadrant_dataset(n=30)
         doc = json.loads(serialize_model(train(ds, small_params(n_estimators=1))))
-        root = doc["rounds"][0][0][0]
-        assert "feature" in root
-        return doc, root
+        assert doc["feature"][0][0] >= 0
+        return doc
 
-    def test_cyclic_tree_rejected(self):
-        doc, root = self._split_doc()
-        root["left"] = root["right"] = 0
-        with pytest.raises(ModelFormatError, match="child index"):
+    def test_layout_length_rejected(self):
+        doc = self._split_doc()
+        for key in ("feature", "threshold"):
+            for row in doc[key]:
+                row.pop()
+        with pytest.raises(ModelFormatError, match="layout"):
             deserialize_model(json.dumps(doc))
 
-    def test_child_before_parent_rejected(self):
-        doc, _ = self._split_doc()
-        nodes = doc["rounds"][0][0]
-        inner = next(i for i, node in enumerate(nodes) if i > 0 and "feature" in node)
-        nodes[inner]["right"] = inner - 1
-        with pytest.raises(ModelFormatError, match="child index"):
+    def test_split_below_leaf_rejected(self):
+        doc = self._split_doc()
+        tree = next(row for row in doc["feature"] if max(row[1:]) >= 0)
+        tree[0] = -1
+        with pytest.raises(ModelFormatError, match="below a slot that does not split"):
+            deserialize_model(json.dumps(doc))
+
+    def test_leaf_copies_differ_rejected(self):
+        doc = self._split_doc()
+        # a depth-2 tree whose slot 1 or 2 is a leaf holds its weight twice
+        t, i = next((t, i) for t, row in enumerate(doc["feature"]) for i in (1, 2)
+                    if len(row) == 3 and row[0] >= 0 and row[i] < 0)
+        doc["leaf"][t][2 * i - 1] += 1.0
+        with pytest.raises(ModelFormatError, match="one weight"):
+            deserialize_model(json.dumps(doc))
+
+    def test_layout_deeper_than_max_depth_rejected(self):
+        doc = self._split_doc()
+        doc["hyperparams"]["max_depth"] = 12
+        n = 2**13 - 1
+        for key, fill, width in (("feature", -1, n), ("threshold", 0.0, n), ("leaf", 0.0, n + 1)):
+            doc[key] = [[fill] * width for _ in doc[key]]
+        with pytest.raises(ModelFormatError, match="layout depth 13"):
             deserialize_model(json.dumps(doc))
 
     @pytest.mark.parametrize("feature", [2, 99, -3])
     def test_feature_out_of_range_rejected(self, feature):
-        doc, root = self._split_doc()
-        root["feature"] = feature
+        doc = self._split_doc()
+        doc["feature"][0][0] = feature
         with pytest.raises(ModelFormatError, match="feature"):
             deserialize_model(json.dumps(doc))
 

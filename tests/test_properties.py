@@ -1,11 +1,13 @@
-"""Property tests: labeling, series round trip, split proportions, and the
-predict command on fuzzed model documents.
+"""Property tests: labeling, series round trip, split proportions, the
+stacked-tree walker against a per-row oracle, and the predict command on
+fuzzed model documents.
 
 Every test runs with ``derandomize=True``, so each run draws the same
 examples and tier-1 stays deterministic.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 
 from windramp import HyperParams, ThresholdSet, WindPowerSeries, load_series, stratified_split, train, write_series
 from windramp.cli import main
-from windramp.gbrt import serialize_model
+from windramp.gbrt import deserialize_model, serialize_model, softmax
 from windramp.labeling import assign_class, assign_classes
 
 from .conftest import make_dataset, quadrant_dataset
+from .oracles import document_scores
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -92,6 +95,86 @@ def test_stratified_split_share_within_one_row(counts, test_fraction, seed):
         assert abs(in_test - test_fraction * n_c) <= 1.0, (c, n_c, in_test)
 
 
+@st.composite
+def model_documents(draw):
+    """A valid format-2 document: trees of mixed depths up to D, thresholds
+    from a small pool (so rows can hit them exactly), leaf weights copied
+    down under every slot that does not split."""
+    num_classes = draw(st.integers(2, 4))
+    n_features = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 4))
+    n = 2**depth - 1
+    pool = draw(st.lists(st.floats(-10, 10), min_size=1, max_size=4))
+    weights = st.floats(-5, 5)
+    features, thresholds, leaves = [], [], []
+    for _ in range(num_classes * draw(st.integers(1, 3))):
+        feature = []
+        for i in range(n):
+            parent_splits = i == 0 or feature[(i - 1) // 2] >= 0
+            feature.append(draw(st.integers(-1, n_features - 1)) if parent_splits else -1)
+        leaf = draw(st.lists(weights, min_size=n + 1, max_size=n + 1))
+        for i, f in enumerate(feature):
+            if f < 0:
+                level = (i + 1).bit_length() - 1
+                span = 2 ** (depth - level)
+                first = (i + 1 - 2**level) * span
+                leaf[first:first + span] = [leaf[first]] * span
+        features.append(feature)
+        thresholds.append([draw(st.sampled_from(pool)) if f >= 0 else 0.0 for f in feature])
+        leaves.append(leaf)
+    learning_rate = draw(st.floats(0.01, 1.0))
+    hyperparams = HyperParams(n_estimators=len(features) // num_classes, max_depth=max(depth, 1),
+                              learning_rate=learning_rate)
+    doc = {
+        "version": 2, "num_classes": num_classes, "learning_rate": learning_rate,
+        "base_score": draw(st.lists(weights, min_size=num_classes, max_size=num_classes)),
+        "hyperparams": dataclasses.asdict(hyperparams), "n_features": n_features,
+        "feature": features, "threshold": thresholds, "leaf": leaves,
+    }
+    values = st.one_of(st.sampled_from(pool), st.floats(-20, 20))
+    rows = draw(st.lists(st.lists(values, min_size=n_features, max_size=n_features), min_size=1, max_size=12))
+    return doc, np.array(rows, dtype=np.float64)
+
+
+def _check_walker(doc, X):
+    model = deserialize_model(json.dumps(doc))
+    oracle = np.array([document_scores(doc, x) for x in X])
+    assert model.raw_scores(X).tobytes() == oracle.tobytes()
+    proba = model.predict_proba(X)
+    assert proba.tobytes() == softmax(oracle).tobytes()
+    for i in range(X.shape[0]):
+        assert model.predict_proba(X[i:i + 1]).tobytes() == proba[i:i + 1].tobytes()
+    assert model.predict_proba(np.empty((0, model.n_features))).shape == (0, model.num_classes)
+
+
+@PROPERTY
+@given(case=model_documents())
+def test_walker_matches_oracle(case):
+    """Every tree is walked as the oracle walks it, one row at a time (a
+    value equal to a threshold goes right); scores add up bit for bit, and
+    single rows equal their batch rows."""
+    _check_walker(*case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    X=st.integers(1, 3).flatmap(lambda f: st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=f, max_size=f), min_size=6, max_size=30)),
+    max_depth=st.integers(1, 4),
+    n_estimators=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_trained_walker_matches_oracle(X, max_depth, n_estimators, seed):
+    """The layout grow_tree writes, read back by the oracle, gives the
+    scores predict computes, on the training rows themselves."""
+    X = np.array(X)
+    targets = np.random.default_rng(seed).integers(1, 5, size=X.shape[0])
+    targets[:2] = [1, 2]
+    model = train(make_dataset(X, targets, ThresholdSet((1.0,))),
+                  HyperParams(n_estimators=n_estimators, max_depth=max_depth, min_child_hessian=0.0))
+    _check_walker(json.loads(serialize_model(model)), X)
+
+
 _MODEL = json.loads(serialize_model(train(quadrant_dataset(n=40), HyperParams(n_estimators=2, max_depth=2))))
 _ROWS = "1.5,-2.0\n-3.0,0.5\n"
 
@@ -148,3 +231,17 @@ def test_predict_on_fuzzed_model_exits_0_or_4(tmp_path_factory, edits):
         for line in out.getvalue().splitlines():
             row = json.loads(line, parse_constant=_reject_constant)
             assert 1 <= row["class"] <= len(row["proba"])
+
+
+def test_predict_after_any_single_edit_exits_0_or_4(tmp_path):
+    """Every path of the document, replaced by each of a few bad values."""
+    (tmp_path / "rows.csv").write_text(_ROWS)
+    for path in _PATHS:
+        for value in (None, -1, 2.5, 1e308, "x"):
+            (tmp_path / "model.json").write_text(json.dumps(_replace(_MODEL, path, value)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["predict", str(tmp_path / "model.json"), str(tmp_path / "rows.csv")])
+            assert code in (0, 4), (path, value, err.getvalue())
+            for line in out.getvalue().splitlines():
+                json.loads(line, parse_constant=_reject_constant)
