@@ -13,6 +13,7 @@ error, 4 training or model error. Errors print one JSON line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -139,26 +140,41 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _number(key: str, value, kind: type):
+    """A config value as ``kind`` (int or float); strings, booleans and, for
+    int, fractional numbers raise a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def _validate_config(cfg: dict) -> None:
     if not cfg["data"]["path"]:
         raise ConfigError("no input data path given (config data.path or --data)")
     if cfg["rated_capacity_mw"] is None:
         raise ConfigError("rated capacity is required (config rated_capacity_mw or --capacity-mw)")
-    if not (float(cfg["rated_capacity_mw"]) > 0):
+    if not (_number("rated_capacity_mw", cfg["rated_capacity_mw"], float) > 0):
         raise ConfigError(f"rated_capacity_mw must be > 0, got {cfg['rated_capacity_mw']}")
     horizons = cfg["horizons"]
-    if not horizons or len(set(horizons)) != len(horizons) or any(s < 1 for s in horizons):
+    steps = [_number("horizons", s, int) for s in horizons] if isinstance(horizons, list) else []
+    if not steps or len(set(steps)) != len(steps) or min(steps) < 1:
         raise ConfigError(f"horizons must be distinct integers >= 1, got {horizons}")
-    if cfg["thresholds_mw"] is None and not (0 < float(cfg["threshold_fraction"]) <= 1):
-        raise ConfigError(
-            f"threshold_fraction must be in (0, 1], got {cfg['threshold_fraction']}"
-        )
-    if int(cfg["lag_count"]) < 1:
+    thresholds = cfg["thresholds_mw"]
+    if thresholds is not None and not isinstance(thresholds, list):
+        raise ConfigError(f"thresholds_mw must be a list of numbers, got {thresholds!r}")
+    for t in thresholds or ():
+        _number("thresholds_mw", t, float)
+    fraction = cfg["threshold_fraction"]
+    if cfg["thresholds_mw"] is None and not (0 < _number("threshold_fraction", fraction, float) <= 1):
+        raise ConfigError(f"threshold_fraction must be in (0, 1], got {fraction}")
+    if _number("lag_count", cfg["lag_count"], int) < 1:
         raise ConfigError(f"lag_count must be >= 1, got {cfg['lag_count']}")
-    if not (0 < float(cfg["test_fraction"]) < 1):
+    if not (0 < _number("test_fraction", cfg["test_fraction"], float) < 1):
         raise ConfigError(f"test_fraction must be in (0, 1), got {cfg['test_fraction']}")
-    if cfg["workers"] is not None and int(cfg["workers"]) < 1:
+    if cfg["workers"] is not None and _number("workers", cfg["workers"], int) < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg['workers']}")
+    _number("resolution_s", cfg["resolution_s"], int)
+    _number("seed", cfg["seed"], int)
 
 
 def _thresholds(cfg: dict) -> labeling.ThresholdSet:
@@ -186,7 +202,13 @@ def _load_series(cfg: dict) -> tuple[series.WindPowerSeries, series.LoadReport]:
 
 
 def _hyperparams(cfg: dict) -> gbrt.HyperParams:
-    return gbrt.HyperParams(**cfg.get("hyperparams", {}))
+    hyperparams = cfg.get("hyperparams", {})
+    if not isinstance(hyperparams, dict):
+        raise ConfigError(f"hyperparams must be an object, got {hyperparams!r}")
+    unknown = sorted(set(hyperparams) - {field.name for field in dataclasses.fields(gbrt.HyperParams)})
+    if unknown:
+        raise ConfigError(f"unknown hyperparameter(s) {', '.join(unknown)}")
+    return gbrt.HyperParams(**hyperparams)
 
 
 def _out_dirs(cfg: dict) -> dict[str, Path]:
@@ -305,7 +327,7 @@ def cmd_train(cfg: dict) -> int:
                 + "\n",
                 encoding="utf-8",
             )
-        model = gbrt.train(train_ds, params, workers=workers)
+        model = gbrt.train(train_ds, params)
         gbrt.save_model(model, _model_path(dirs, s))
         _split_path(dirs, s).write_text(
             json.dumps(
@@ -442,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lags", type=int, help="length of the lag feature window")
         p.add_argument("--test-fraction", dest="test_fraction", type=float)
         p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int,
+                       help="threads running grid-search fits at once (default 1); "
+                            "outputs do not depend on it")
         p.add_argument("--grid", help="grid spec N_ESTSxDEPTHS[xFOLDS] or 'default'")
         p.add_argument("--out", help="output directory")
 

@@ -10,7 +10,9 @@ predicted and never true gets F1 = 0.
 from __future__ import annotations
 
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -286,25 +288,37 @@ def grid_search(
     The selection criterion is mean validation macro-F1; ties break toward
     the smaller n_estimators, then the smaller max_depth. Returns the
     winning HyperParams (the fixed params with the winning pair substituted)
-    plus the full CV table.
+    plus the full CV table. The (cell, fold) fits run on up to ``workers``
+    threads (None = all cores); each fit is independent and results are
+    collected in job order, so the output does not depend on ``workers``.
     """
     fixed = fixed or HyperParams()
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     folds = stratified_folds(dataset.targets, grid.folds, seed)
-    all_rows = np.arange(len(dataset))
-    table: list[GridCell] = []
-    for n_est in grid.n_estimators_choices:
-        for depth in grid.max_depth_choices:
-            params = replace(fixed, n_estimators=n_est, max_depth=depth)
-            scores = []
-            for fold_rows in folds:
-                held = np.zeros(len(dataset), dtype=bool)
-                held[fold_rows] = True
-                model = train(dataset.select(all_rows[~held]), params, workers=workers)
-                val = dataset.select(fold_rows)
-                cm = confusion(val.targets, model.predict_class(val.features), dataset.num_classes)
-                scores.append(metrics(cm, dataset.thresholds.rare_class_ids).overall_f1)
-            table.append(GridCell(n_est, depth, tuple(scores), float(np.mean(scores))))
+    cells = [(n_est, depth) for n_est in grid.n_estimators_choices for depth in grid.max_depth_choices]
+    jobs = [(cell, fold_rows) for cell in cells for fold_rows in folds]
 
+    def fit_and_score(job) -> float:
+        (n_est, depth), fold_rows = job
+        held = np.zeros(len(dataset), dtype=bool)
+        held[fold_rows] = True
+        model = train(dataset.select(np.flatnonzero(~held)), replace(fixed, n_estimators=n_est, max_depth=depth))
+        val = dataset.select(fold_rows)
+        cm = confusion(val.targets, model.predict_class(val.features), dataset.num_classes)
+        return metrics(cm, dataset.thresholds.rare_class_ids).overall_f1
+
+    cores = os.cpu_count() or 1
+    threads = min(workers or cores, cores, len(jobs))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            scores = list(pool.map(fit_and_score, jobs))
+    else:
+        scores = [fit_and_score(job) for job in jobs]
+    table = []
+    for i, (n_est, depth) in enumerate(cells):
+        fold_scores = tuple(scores[i * len(folds):(i + 1) * len(folds)])
+        table.append(GridCell(n_est, depth, fold_scores, float(np.mean(fold_scores))))
     best = max(table, key=lambda cell: (cell.mean_score, -cell.n_estimators, -cell.max_depth))
     return replace(fixed, n_estimators=best.n_estimators, max_depth=best.max_depth), table
 

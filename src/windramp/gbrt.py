@@ -2,9 +2,12 @@
 
 Second-order additive boosting against softmax cross-entropy: each round
 fits one regression tree per class to the first/second loss derivatives at
-the current scores, using exact greedy split finding over pre-sorted
-feature columns. The split search is feature-parallel with a deterministic
-reduction, so training output is bit-identical for any worker count.
+the current scores, using exact greedy split finding over feature columns
+sorted once per training run. Trees grow one level at a time: every node of
+a level holds one column range of the sorted columns, and one partition
+pass per level moves all their rows into the next level's ranges. Training
+is serial and deterministic; ``evaluation.grid_search`` runs whole fits in
+parallel.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
 stacked, each in complete binary layout of depth D, the depth of its
@@ -21,8 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -37,9 +38,8 @@ MODEL_FORMAT_VERSION = 2
 # the layout gives every tree 2^max_depth leaf slots
 MAX_DEPTH = 12
 
-# below this many row*feature cells a node's split search runs serially;
-# thread dispatch overhead dominates otherwise
-_PARALLEL_MIN_CELLS = 16384
+# (feature, row) cells searched per block of a node: small enough to stay in cache
+_SEARCH_CELLS = 32768
 
 # (row, tree) node ids walked per block of rows: small enough to stay in cache
 _BLOCK_NODES = 16384
@@ -67,6 +67,10 @@ class HyperParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("reg_lambda", "gamma", "learning_rate", "min_child_hessian"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.n_estimators < 1:
             raise ConfigError(f"n_estimators must be >= 1, got {self.n_estimators}")
         if not 1 <= self.max_depth <= MAX_DEPTH:
@@ -142,166 +146,138 @@ def softmax_gradients(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     return g, h
 
 
-def _feature_best(values: np.ndarray, grad: np.ndarray, hess: np.ndarray, params: HyperParams):
-    """Best (gain, threshold) on one pre-sorted feature column, or None.
+def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, values)``, both F x n: row j of ``order`` holds the row ids
+    stable-sorted by feature j, row j of ``values`` the sorted values."""
+    columns = np.ascontiguousarray(X.T, dtype=np.float64)
+    order = np.argsort(columns, axis=1, kind="stable").astype(np.int64, copy=False)
+    return order, np.take_along_axis(columns, order, axis=1)
 
-    Candidate thresholds are midpoints between consecutive distinct values;
-    both children must satisfy the hessian-mass floor; ties on gain resolve
-    to the lowest threshold.
+
+def _node_split(values: np.ndarray, G: np.ndarray, H: np.ndarray, params: HyperParams) -> Split | None:
+    """Exact greedy split of one node, or None.
+
+    Row j of the F x m blocks holds the node's values of feature j in
+    ascending order and the gradient pairs of the same rows. Candidate
+    thresholds are midpoints between consecutive distinct values; both
+    children must satisfy the hessian-mass floor; ties on gain resolve to
+    the lowest threshold, then to the lowest feature index.
     """
-    m = values.size
+    num_features, m = values.shape
     if m < 2:
         return None
-    cg = np.cumsum(grad)
-    ch = np.cumsum(hess)
-    g_total, h_total = cg[-1], ch[-1]
-    gl, hl = cg[:-1], ch[:-1]
-    gr, hr = g_total - gl, h_total - hl
-    valid = values[1:] > values[:-1]
-    if params.min_child_hessian > 0:
-        valid &= (hl >= params.min_child_hessian) & (hr >= params.min_child_hessian)
-    if not valid.any():
+    lam, floor = params.reg_lambda, params.min_child_hessian
+    best_gain = np.empty(num_features)
+    best_k = np.empty(num_features, dtype=np.int64)
+    step = max(1, _SEARCH_CELLS // m)
+    for f in range(0, num_features, step):
+        cg = np.cumsum(G[f:f + step], axis=1)
+        ch = np.cumsum(H[f:f + step], axis=1)
+        g_total, h_total = cg[:, -1:], ch[:, -1:]
+        gl, hl = cg[:, :-1], ch[:, :-1]
+        gr, hr = g_total - gl, h_total - hl
+        v = values[f:f + step]
+        valid = v[:, 1:] > v[:, :-1]
+        if floor > 0:
+            valid &= (hl >= floor) & (hr >= floor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parent = g_total * g_total / (h_total + lam)
+            gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - params.gamma
+        gain[~valid] = -np.inf
+        if lam == 0.0 and floor == 0.0:
+            np.nan_to_num(gain, nan=-np.inf, copy=False)  # 0/0 at zero-hessian children
+        k = np.argmax(gain, axis=1)
+        best_k[f:f + step] = k
+        best_gain[f:f + step] = np.take_along_axis(gain, k[:, None], axis=1)[:, 0]
+    best_gain[~(best_gain > 0.0)] = -np.inf
+    j = int(np.argmax(best_gain))
+    if not best_gain[j] > 0.0:
         return None
-    lam = params.reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
-        parent = g_total * g_total / (h_total + lam)
-        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - params.gamma
-    gain[~valid] = -np.inf
-    if lam == 0.0 and params.min_child_hessian == 0.0:
-        np.nan_to_num(gain, nan=-np.inf, copy=False)  # 0/0 at zero-hessian children
-    k = int(np.argmax(gain))
-    best = float(gain[k])
-    if not best > 0.0:
-        return None
-    return best, float(0.5 * (values[k] + values[k + 1]))
-
-
-def _reduce_feature_results(results) -> Split | None:
-    best: Split | None = None
-    for j, res in enumerate(results):
-        if res is None:
-            continue
-        gain, threshold = res
-        if best is None or gain > best.gain:
-            best = Split(feature=j, threshold=threshold, gain=gain)
-    return best
-
-
-def _search_columns(columns: list, params: HyperParams, executor) -> Split | None:
-    """Per-feature best over pre-gathered (values, grad, hess) columns,
-    reduced in feature order (ties -> lowest feature index). Worker threads
-    each take a contiguous block of features; scheduling cannot change the
-    result because every per-feature computation is self-contained."""
-    num_features = len(columns)
-    if executor is not None and columns[0][0].size * num_features >= _PARALLEL_MIN_CELLS:
-        blocks = np.array_split(np.arange(num_features), getattr(executor, "_max_workers", 2))
-        futures = [
-            executor.submit(
-                lambda idx: [_feature_best(*columns[j], params) for j in idx], block
-            )
-            for block in blocks if block.size
-        ]
-        results: list = []
-        for fut in futures:
-            results.extend(fut.result())
-    else:
-        results = [_feature_best(*col, params) for col in columns]
-    return _reduce_feature_results(results)
+    k = best_k[j]
+    return Split(feature=j, threshold=float(0.5 * (values[j, k] + values[j, k + 1])),
+                 gain=float(best_gain[j]))
 
 
 def find_best_split(
-    X: np.ndarray,
-    node_sorted: list[np.ndarray],
+    order: np.ndarray,
+    values: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     params: HyperParams,
-    executor: ThreadPoolExecutor | None = None,
 ) -> Split | None:
-    """Exact greedy split over all features of one node.
-
-    ``node_sorted[j]`` holds the node's row indices sorted by feature j;
-    per-feature winners are computed independently (optionally on worker
-    threads) and reduced in feature order, so ties resolve to the lowest
-    feature index and the result never depends on scheduling.
-    """
-    columns = [
-        (X[idx, j], grad[idx], hess[idx]) for j, idx in enumerate(node_sorted)
-    ]
-    return _search_columns(columns, params, executor)
+    """Exact greedy split over all features of one node, given the node's
+    rows pre-sorted per feature as :func:`presort` returns them."""
+    return _node_split(values, grad.take(order), hess.take(order), params)
 
 
 def grow_tree(
-    X: np.ndarray,
-    node_sorted: list[np.ndarray],
+    order: np.ndarray,
+    values: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     params: HyperParams,
-    executor: ThreadPoolExecutor | None = None,
     train_leaf_values: np.ndarray | None = None,
 ) -> Tree:
-    """Greedy depth-first growth to max_depth, straight into the complete
-    binary layout of depth max_depth.
+    """Greedy growth to max_depth, one level at a time, straight into the
+    complete binary layout of depth max_depth.
 
-    Leaf weight is -G/(H+lambda); the learning rate is applied when scores
-    are accumulated, not here. Each node carries its rows pre-sorted per
-    feature together with the matching feature values and gradient pairs,
-    so descending is pure boolean partitioning (order, hence every floating
-    point sum, is identical no matter how the search is scheduled). When
-    ``train_leaf_values`` is given, each training row's leaf weight is
-    written into it, sparing a full predict pass.
+    ``order`` and ``values`` are the rows pre-sorted per feature, as
+    :func:`presort` returns them. Within a level each node owns one column
+    range, the same in every feature row, and holds its rows in the order a
+    stable partition of the root's sort gives, so every floating-point sum
+    is the same as a node-by-node search would compute. Leaf weight is
+    -G/(H+lambda); the learning rate is applied when scores are accumulated,
+    not here. When ``train_leaf_values`` is given, each training row's leaf
+    weight is written into it, sparing a full predict pass.
     """
-    if node_sorted[0].size == 0:
+    if order.shape[1] == 0:
         raise TrainingError("cannot grow a tree on an empty row set")
     top = params.max_depth
     feature = np.full(2**top - 1, -1, dtype=np.int32)
     threshold = np.full(2**top - 1, np.inf)
     leaf = np.zeros(2**top)
     lam = params.reg_lambda
-    route = np.zeros(X.shape[0], dtype=bool)
-
-    def add_leaf(slot: int, rows: np.ndarray, g_sum: float, h_sum: float, depth: int) -> None:
-        denom = h_sum + lam
-        value = -g_sum / denom if denom > 0 else 0.0
-        if train_leaf_values is not None:
-            train_leaf_values[rows] = value
-        span = 2 ** (top - depth)  # leaf slots under this one
-        first = (slot + 1 - 2**depth) * span
-        leaf[first:first + span] = value
-
-    def build(slot: int, idx_cols, val_cols, g_cols, h_cols, depth: int) -> None:
-        rows = idx_cols[0]
-        g_sum = float(g_cols[0].sum())
-        h_sum = float(h_cols[0].sum())
-        if depth >= params.max_depth:
-            return add_leaf(slot, rows, g_sum, h_sum, depth)
-        split = _search_columns(list(zip(val_cols, g_cols, h_cols)), params, executor)
-        if split is None:
-            return add_leaf(slot, rows, g_sum, h_sum, depth)
-        j = split.feature
-        route[idx_cols[j]] = val_cols[j] < split.threshold
-        masks = [route[idx] for idx in idx_cols]
-        lefts = tuple(
-            ([c[m] for c, m in zip(cols, masks)])
-            for cols in (idx_cols, val_cols, g_cols, h_cols)
+    side = np.empty(grad.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 leaf
+    level = [(0, 0, order.shape[1])]  # (slot, start, stop) of each node
+    for depth in range(top + 1):
+        G, H = grad.take(order), hess.take(order)
+        splits = []
+        for slot, a, b in level:
+            split = _node_split(values[:, a:b], G[:, a:b], H[:, a:b], params) if depth < top else None
+            if split is not None:
+                j = split.feature
+                right = values[j, a:b] >= split.threshold
+                n_right = int(np.count_nonzero(right))
+                if 0 < n_right < b - a:  # else a degenerate midpoint (adjacent representable values)
+                    side[order[j, a:b]] = right
+                    feature[slot], threshold[slot] = j, split.threshold
+                    splits.append((slot, (b - a - n_right, n_right)))
+                    continue
+            denom = float(H[0, a:b].sum()) + lam
+            value = -float(G[0, a:b].sum()) / denom if denom > 0 else 0.0
+            if train_leaf_values is not None:
+                train_leaf_values[order[0, a:b]] = value
+            side[order[0, a:b]] = 2
+            span = 2 ** (top - depth)  # leaf slots under this one
+            first = (slot + 1 - 2**depth) * span
+            leaf[first:first + span] = value
+        if not splits:
+            break
+        # left children first, then right ones; each keeps its rows' order.
+        # The leaves of the last level need only their rows: feature row 0
+        if depth == top - 1:
+            order = order[:1]
+        codes = side.take(order).ravel()
+        keep = np.concatenate(
+            [np.flatnonzero(codes == s).reshape(len(order), -1) for s in (0, 1)], axis=1
         )
-        rights = tuple(
-            ([c[~m] for c, m in zip(cols, masks)])
-            for cols in (idx_cols, val_cols, g_cols, h_cols)
-        )
-        if lefts[0][0].size == 0 or rights[0][0].size == 0:
-            # degenerate midpoint (adjacent representable values)
-            return add_leaf(slot, rows, g_sum, h_sum, depth)
-        idx_cols = val_cols = g_cols = h_cols = masks = None  # free before recursing
-        feature[slot] = j
-        threshold[slot] = split.threshold
-        build(2 * slot + 1, *lefts, depth + 1)
-        lefts = None
-        build(2 * slot + 2, *rights, depth + 1)
-
-    val_cols = [X[idx, j] for j, idx in enumerate(node_sorted)]
-    g_cols = [grad[idx] for idx in node_sorted]
-    h_cols = [hess[idx] for idx in node_sorted]
-    build(0, list(node_sorted), val_cols, g_cols, h_cols, 0)
+        order = order.ravel().take(keep)
+        values = values.ravel().take(keep) if depth < top - 1 else None
+        level, start = [], 0
+        for child in (0, 1):
+            for slot, counts in splits:
+                level.append((2 * slot + 1 + child, start, start + counts[child]))
+                start += counts[child]
     return Tree(feature, threshold, leaf)
 
 
@@ -394,17 +370,13 @@ class GbrtModel:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64) + 1
 
 
-def train(
-    dataset: LabeledDataset,
-    params: HyperParams | None = None,
-    workers: int | None = 1,
-) -> GbrtModel:
+def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtModel:
     """Fit a GBRT ensemble on a labeled dataset.
 
     Each round computes softmax gradients at the current scores, grows one
     tree per class against them, and accumulates learning_rate-scaled leaf
     weights. The base score is the log of add-one-smoothed class priors.
-    Output is bit-identical for any ``workers`` value (None = all cores).
+    The feature columns are sorted once, and every tree starts from them.
     """
     params = params or HyperParams()
     X = dataset.features
@@ -421,31 +393,17 @@ def train(
     counts = np.bincount(y, minlength=num_classes)
     base_score = np.log((counts + 1.0) / (n + num_classes))
     scores = np.tile(base_score, (n, 1))
-    sorted_cols = [
-        np.argsort(X[:, j], kind="stable").astype(np.int64) for j in range(X.shape[1])
-    ]
-
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
+    order, values = presort(X)
     trees: list[Tree] = []
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     leaf_values = np.empty(n, dtype=np.float64)
-    try:
-        for _ in range(params.n_estimators):
-            g, h = softmax_gradients(scores, y)
-            for c in range(num_classes):
-                trees.append(grow_tree(
-                    X, sorted_cols, np.ascontiguousarray(g[:, c]),
-                    np.ascontiguousarray(h[:, c]), params, executor,
-                    train_leaf_values=leaf_values,
-                ))
-                scores[:, c] += params.learning_rate * leaf_values
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for _ in range(params.n_estimators):
+        g, h = softmax_gradients(scores, y)
+        for c in range(num_classes):
+            trees.append(grow_tree(
+                order, values, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
+                params, train_leaf_values=leaf_values,
+            ))
+            scores[:, c] += params.learning_rate * leaf_values
 
     # every tree was grown in a depth-max_depth layout: cut them all to the deepest one
     depth = max(tree.depth for tree in trees)
@@ -498,11 +456,10 @@ def deserialize_model(text: str) -> GbrtModel:
             "retrain the model"
         )
     try:
-        num_classes = int(doc["num_classes"])
+        num_classes, n_features = doc["num_classes"], doc["n_features"]
         hp = HyperParams(**doc["hyperparams"])
         base = np.asarray(doc["base_score"], dtype=np.float64)
         learning_rate = float(doc["learning_rate"])
-        n_features = int(doc["n_features"])
         feature, threshold, leaf = (np.asarray(doc[key]) for key in ("feature", "threshold", "leaf"))
     except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
@@ -510,6 +467,9 @@ def deserialize_model(text: str) -> GbrtModel:
            for a, kinds in ((feature, "i"), (threshold, "iuf"), (leaf, "iuf"))):
         raise ModelFormatError("feature, threshold and leaf must be lists of equal-length lists of numbers")
     threshold, leaf = threshold.astype(np.float64), leaf.astype(np.float64)
+    for key, count in (("num_classes", num_classes), ("n_features", n_features)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ModelFormatError(f"{key} must be an integer, got {count!r}")
     if num_classes < 2 or not 1 <= n_features <= np.iinfo(np.int32).max:
         raise ModelFormatError(f"num_classes must be >= 2 and n_features in 1..2^31-1, got "
                                f"{num_classes} and {n_features}")

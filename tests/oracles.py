@@ -96,6 +96,40 @@ def brute_force_best_split(X, g, h, reg_lambda, gamma, min_child_hessian):
     return best
 
 
+def brute_force_tree(X, g, h, reg_lambda, gamma, min_child_hessian, max_depth):
+    """Depth-first growth that calls ``brute_force_best_split`` on each
+    node's rows.
+
+    Returns {slot: ("split", feature, threshold) or ("leaf", weight)} over
+    the reachable slots, children of slot i at 2i+1 and 2i+2. A node at
+    max_depth, without a positive-gain split, or whose split would leave a
+    child empty is a leaf of weight -G/(H + reg_lambda).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    nodes = {}
+
+    def grow(slot, rows, depth):
+        split = None
+        if depth < max_depth:
+            split = brute_force_best_split(X[rows], [g[i] for i in rows], [h[i] for i in rows],
+                                           reg_lambda, gamma, min_child_hessian)
+        if split is not None:
+            j, threshold, _ = split
+            left = [i for i in rows if X[i, j] < threshold]
+            right = [i for i in rows if not X[i, j] < threshold]
+            if left and right:
+                nodes[slot] = ("split", j, threshold)
+                grow(2 * slot + 1, left, depth + 1)
+                grow(2 * slot + 2, right, depth + 1)
+                return
+        g_sum = sum(float(g[i]) for i in rows)
+        h_sum = sum(float(h[i]) for i in rows)
+        nodes[slot] = ("leaf", -g_sum / (h_sum + reg_lambda))
+
+    grow(0, list(range(X.shape[0])), 0)
+    return nodes
+
+
 def naive_metrics(true, predicted, num_classes):
     """Accuracy and per-class precision/recall/F1 by direct counting."""
     true = list(int(v) for v in true)

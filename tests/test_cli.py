@@ -120,10 +120,15 @@ class TestPredict:
         (lambda d: d.update(num_classes=0, base_score=[]), "num_classes"),
         (lambda d: d.update(num_classes=1, base_score=[0.0]), "num_classes"),
         (lambda d: d.update(version=1), "version 1"),
+        (lambda d: d.update(num_classes=4.9, n_features=6.5), "num_classes"),
+        (lambda d: d.update(n_features=LAGS + 0.5), "n_features"),
+        (lambda d: d.update(n_features=True), "n_features"),
+        (lambda d: d.update(n_features="12"), "n_features"),
     ], ids=["layout_length", "split_under_leaf", "feature", "n_estimators_0", "n_estimators_float",
             "nan_base_score", "inf_base_score", "nan_learning_rate", "nan_hyperparams_learning_rate",
             "learning_rate_mismatch", "nan_threshold", "inf_leaf_weight", "huge_leaf_weights",
-            "num_classes_0", "num_classes_1", "version_1"])
+            "num_classes_0", "num_classes_1", "version_1", "fractional_counts", "n_features_float",
+            "n_features_bool", "n_features_string"])
     def test_malformed_model_exits_4(self, model_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_path.read_text())
         assert doc["feature"][0][0] >= 0
@@ -154,8 +159,9 @@ class TestConfig:
         assert cfg["workers"] == 1 and cfg["resolution_s"] == 600  # defaults
         assert cfg["horizons"] == [1, 3]
 
-    @pytest.mark.parametrize("hyperparams", [{"n_estimators": 2.5}, {"max_depth": 40}],
-                             ids=["n_estimators_float", "max_depth_40"])
+    @pytest.mark.parametrize("hyperparams", [{"n_estimators": 2.5}, {"max_depth": 40}, {"depth": 3},
+                                             {"reg_lambda": "x"}],
+                             ids=["n_estimators_float", "max_depth_40", "unknown_key", "reg_lambda_string"])
     def test_bad_hyperparams_exit_2(self, workspace, capsys, hyperparams):
         workspace["config"].write_text(json.dumps({"version": 1, "hyperparams": hyperparams}))
         assert main(workspace["argv"]("train")) == 2
@@ -168,3 +174,16 @@ class TestConfig:
         del argv[i:i + 2]
         assert main(argv) == 2
         assert error_line(capsys)["error"] == "config"
+
+    @pytest.mark.parametrize("key, value", [
+        ("rated_capacity_mw", "x"), ("threshold_fraction", "x"), ("test_fraction", "x"), ("lag_count", "x"),
+        ("lag_count", 2.5), ("resolution_s", "x"), ("seed", "x"), ("workers", "x"), ("workers", True),
+        ("horizons", ["x"]), ("horizons", [1.5]), ("thresholds_mw", ["x"]), ("thresholds_mw", 5),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_non_numeric_value_exits_2(self, workspace, capsys, key, value):
+        workspace["config"].write_text(json.dumps({"version": 1, "rated_capacity_mw": 20, key: value}))
+        argv = ["prepare", "--config", str(workspace["config"]), "--data", str(workspace["csv"]),
+                "--out", str(workspace["out"])]
+        assert main(argv) == 2
+        err = error_line(capsys)
+        assert err["error"] == "config" and key in err["message"]

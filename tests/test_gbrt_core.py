@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from windramp import DataError, HyperParams
-from windramp.gbrt import find_best_split, grow_tree, softmax_gradients
+from windramp.gbrt import find_best_split, grow_tree, presort, softmax_gradients
 
 from .oracles import brute_force_best_split, finite_difference_gradients, leaf_slot
 
@@ -59,10 +60,6 @@ def _tree_values(tree, X):
     return [tree.leaf[leaf_slot(tree.feature, tree.threshold, x)] for x in X]
 
 
-def _sorted_cols(X):
-    return [np.argsort(X[:, j], kind="stable").astype(np.int64) for j in range(X.shape[1])]
-
-
 class TestFindBestSplit:
     def test_two_row_hand_example(self):
         X = np.array([[0.0], [1.0]])
@@ -70,7 +67,7 @@ class TestFindBestSplit:
         h = np.array([1.0, 1.0])
         params = HyperParams(n_estimators=1, max_depth=1, reg_lambda=1.0, gamma=0.0,
                              min_child_hessian=0.0)
-        split = find_best_split(X, _sorted_cols(X), g, h, params)
+        split = find_best_split(*presort(X), g, h, params)
         assert split is not None
         assert split.feature == 0
         assert split.threshold == 0.5
@@ -81,21 +78,21 @@ class TestFindBestSplit:
         g = np.zeros(3)
         h = np.ones(3)
         params = HyperParams(n_estimators=1, max_depth=1, min_child_hessian=0.0)
-        assert find_best_split(X, _sorted_cols(X), g, h, params) is None
+        assert find_best_split(*presort(X), g, h, params) is None
 
     def test_constant_feature_returns_none(self):
         X = np.ones((4, 1))
         g = np.array([1.0, -1.0, 1.0, -1.0])
         h = np.ones(4)
         params = HyperParams(n_estimators=1, max_depth=1, min_child_hessian=0.0)
-        assert find_best_split(X, _sorted_cols(X), g, h, params) is None
+        assert find_best_split(*presort(X), g, h, params) is None
 
     def test_min_child_hessian_blocks_split(self):
         X = np.array([[0.0], [1.0]])
         g = np.array([1.0, -1.0])
         h = np.array([0.5, 0.5])
         params = HyperParams(n_estimators=1, max_depth=1, min_child_hessian=1.0)
-        assert find_best_split(X, _sorted_cols(X), g, h, params) is None
+        assert find_best_split(*presort(X), g, h, params) is None
 
     def test_tie_breaks_to_lowest_feature_then_threshold(self):
         # identical separating power on both features
@@ -103,7 +100,7 @@ class TestFindBestSplit:
         g = np.array([2.0, -2.0])
         h = np.array([1.0, 1.0])
         params = HyperParams(n_estimators=1, max_depth=1, min_child_hessian=0.0)
-        split = find_best_split(X, _sorted_cols(X), g, h, params)
+        split = find_best_split(*presort(X), g, h, params)
         assert split.feature == 0
 
     @pytest.mark.parametrize("seed", range(30))
@@ -117,7 +114,7 @@ class TestFindBestSplit:
         mch = float(rng.choice([0.0, 1.0]))
         params = HyperParams(n_estimators=1, max_depth=1, reg_lambda=1.0,
                              gamma=0.0, min_child_hessian=mch)
-        fast = find_best_split(X, _sorted_cols(X), g, h, params)
+        fast = find_best_split(*presort(X), g, h, params)
         slow = brute_force_best_split(X, g, h, 1.0, 0.0, mch)
         if slow is None:
             assert fast is None
@@ -134,7 +131,7 @@ class TestFindBestSplit:
             h = rng.choice([0.5, 1.0], size=6)
             params = HyperParams(n_estimators=1, max_depth=1, reg_lambda=1.0,
                                  gamma=0.25, min_child_hessian=0.0)
-            fast = find_best_split(X, _sorted_cols(X), g, h, params)
+            fast = find_best_split(*presort(X), g, h, params)
             slow = brute_force_best_split(X, g, h, 1.0, 0.25, 0.0)
             if slow is None:
                 assert fast is None
@@ -149,7 +146,7 @@ class TestGrowTree:
         h = np.array([1.0, 1.0])
         params = HyperParams(n_estimators=1, max_depth=1, reg_lambda=1.0,
                              min_child_hessian=0.0)
-        tree = grow_tree(X, _sorted_cols(X), g, h, params)
+        tree = grow_tree(*presort(X), g, h, params)
         assert tree.depth == 1
         assert tree.n_leaves == 2
         # w* = -G/(H+lambda) per side
@@ -160,7 +157,7 @@ class TestGrowTree:
         g = np.zeros(3)
         h = np.ones(3)
         params = HyperParams(n_estimators=1, max_depth=3, min_child_hessian=0.0)
-        tree = grow_tree(X, _sorted_cols(X), g, h, params)
+        tree = grow_tree(*presort(X), g, h, params)
         assert tree.n_leaves == 1
         assert tree.depth == 0
         assert _tree_values(tree, X) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
@@ -172,7 +169,7 @@ class TestGrowTree:
         g = rng.normal(size=64)
         h = np.full(64, 0.25)
         params = HyperParams(n_estimators=1, max_depth=max_depth, min_child_hessian=0.0)
-        tree = grow_tree(X, _sorted_cols(X), g, h, params)
+        tree = grow_tree(*presort(X), g, h, params)
         assert tree.depth <= max_depth
 
     def test_children_nonempty_with_zero_mch(self):
@@ -181,7 +178,7 @@ class TestGrowTree:
         g = rng.normal(size=32)
         h = np.full(32, 0.25)
         params = HyperParams(n_estimators=1, max_depth=4, min_child_hessian=0.0)
-        tree = grow_tree(X, _sorted_cols(X), g, h, params)
+        tree = grow_tree(*presort(X), g, h, params)
         # walk the full training set down the tree (children of slot i at
         # 2i+1 and 2i+2): every split must route at least one row to each
         # child
@@ -196,3 +193,28 @@ class TestGrowTree:
         for i in np.flatnonzero(tree.feature >= 0):
             assert counts[2 * i + 1] > 0
             assert counts[2 * i + 2] > 0
+
+    def test_degenerate_midpoint_makes_a_leaf(self):
+        # the midpoint of two adjacent representable values rounds to the
+        # lower one, so the best split would send every row right
+        X = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+        g = np.array([1.0, -1.0])
+        h = np.array([1.0, 1.0])
+        params = HyperParams(n_estimators=1, max_depth=2, min_child_hessian=0.0)
+        assert find_best_split(*presort(X), g, h, params).threshold == 1.0
+        tree = grow_tree(*presort(X), g, h, params)
+        assert tree.n_leaves == 1
+        assert _tree_values(tree, X) == [0.0, 0.0]
+
+    def test_bits_pinned(self):
+        """The inputs use numpy's generator and IEEE arithmetic only (no
+        libm), so the tree's bits are the same on every platform."""
+        rng = np.random.default_rng(2026)
+        X = (rng.random((3000, 8)) * 100).round() / 100
+        g = rng.random(3000) - 0.5
+        h = rng.random(3000) * 0.25 + 0.01
+        values = np.empty(3000)
+        tree = grow_tree(*presort(X), g, h, HyperParams(n_estimators=1, max_depth=6), train_leaf_values=values)
+        assert (tree.n_leaves, tree.depth) == (34, 6)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (tree.feature, tree.threshold, tree.leaf, values)))
+        assert digest.hexdigest() == "96de70ee869f9852929f0622fd799521937485eec397018b846074c1f3966cd2"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from windramp import ConfigError, DataError, HyperParams, ModelFormatError, TrainingError, train
+from windramp import ConfigError, DataError, HyperParams, ModelFormatError, ParamGrid, TrainingError, grid_search, train
 from windramp.gbrt import deserialize_model, serialize_model
 
 from .conftest import make_dataset, quadrant_dataset
@@ -97,11 +97,14 @@ class TestDeterminism:
         X = rng.normal(size=(n, 6)).round(3)  # duplicates force tie-breaks
         y = 1 + (rng.random(n) < 0.5) + 2 * (X[:, 0] > 0)
         ds = make_dataset(X * 2, y.astype(int))
-        blobs = {
-            w: serialize_model(train(ds, small_params(n_estimators=6, max_depth=3), workers=w))
-            for w in (1, 2, 8)
-        }
-        assert blobs[1] == blobs[2] == blobs[8]
+        grid = ParamGrid(n_estimators_choices=(2, 3), max_depth_choices=(1, 3), folds=3)
+        results = {}
+        for w in (1, 2, 8):
+            best, table = grid_search(ds, grid, small_params(), seed=3, workers=w)
+            results[w] = (best, json.dumps([cell.to_dict() for cell in table]))
+        assert results[1] == results[2] == results[8]
+        cells = json.loads(results[1][1])
+        assert len(cells) == 4 and all(len(cell["fold_scores"]) == 3 for cell in cells)
 
     def test_repeat_run_bit_identical(self):
         ds = quadrant_dataset(n=80, seed=5)

@@ -1,6 +1,6 @@
-"""Property tests: labeling, series round trip, split proportions, the
-stacked-tree walker against a per-row oracle, and the predict command on
-fuzzed model documents.
+"""Property tests: labeling, series round trip, split proportions, tree
+growth and the stacked-tree walker against per-node and per-row oracles,
+and the predict command on fuzzed model documents.
 
 Every test runs with ``derandomize=True``, so each run draws the same
 examples and tier-1 stays deterministic.
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from windramp import HyperParams, ThresholdSet, WindPowerSeries, load_series, stratified_split, train, write_series
 from windramp.cli import main
-from windramp.gbrt import deserialize_model, serialize_model, softmax
+from windramp.gbrt import deserialize_model, grow_tree, presort, serialize_model, softmax
 from windramp.labeling import assign_class, assign_classes
 
 from .conftest import make_dataset, quadrant_dataset
-from .oracles import document_scores
+from .oracles import brute_force_tree, document_scores
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -173,6 +173,55 @@ def test_trained_walker_matches_oracle(X, max_depth, n_estimators, seed):
     model = train(make_dataset(X, targets, ThresholdSet((1.0,))),
                   HyperParams(n_estimators=n_estimators, max_depth=max_depth, min_child_hessian=0.0))
     _check_walker(json.loads(serialize_model(model)), X)
+
+
+def _grown_nodes(tree):
+    """A grown tree in the oracle's form: its reachable slots, each a split
+    or a leaf with the weight of its leftmost leaf slot."""
+    n = tree.feature.size
+    nodes, stack = {}, [0]
+    while stack:
+        slot = stack.pop()
+        if slot < n and tree.feature[slot] >= 0:
+            nodes[slot] = ("split", int(tree.feature[slot]), float(tree.threshold[slot]))
+            stack += [2 * slot + 1, 2 * slot + 2]
+            continue
+        i = slot
+        while i < n:
+            i = 2 * i + 1
+        nodes[slot] = ("leaf", float(tree.leaf[i - n]))
+    return nodes
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    rows=st.integers(1, 3).flatmap(lambda f: st.lists(st.tuples(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=f, max_size=f),
+        st.sampled_from([-1.0, 0.5, 2.0]),
+        st.sampled_from([0.5, 1.0]),
+    ), min_size=10, max_size=60)),
+    max_depth=st.integers(1, 5),
+    min_child_hessian=st.sampled_from([0.0, 1.0]),
+    gamma=st.sampled_from([0.0, 0.25]),
+)
+def test_grow_tree_matches_brute_force_tree(rows, max_depth, min_child_hessian, gamma):
+    """Split for split, the level-wise grower builds the tree that
+    depth-first growth over the brute-force split builds. Gradients and
+    hessians are small multiples of 0.5, so every sum is exact in any order
+    and gains, thresholds and leaf weights must match bit for bit."""
+    X = np.array([x for x, _, _ in rows])
+    g = np.array([gi for _, gi, _ in rows])
+    h = np.array([hi for _, _, hi in rows])
+    params = HyperParams(n_estimators=1, max_depth=max_depth, gamma=gamma, min_child_hessian=min_child_hessian)
+    values = np.full(len(rows), np.nan)
+    nodes = _grown_nodes(grow_tree(*presort(X), g, h, params, train_leaf_values=values))
+    assert nodes == brute_force_tree(X, g, h, 1.0, gamma, min_child_hessian, max_depth)
+    for x, value in zip(X, values):
+        slot = 0
+        while nodes[slot][0] == "split":
+            _, j, threshold = nodes[slot]
+            slot = 2 * slot + 1 if x[j] < threshold else 2 * slot + 2
+        assert value == nodes[slot][1]
 
 
 _MODEL = json.loads(serialize_model(train(quadrant_dataset(n=40), HyperParams(n_estimators=2, max_depth=2))))
