@@ -1,8 +1,10 @@
-"""Batch pipeline: prepare, train, evaluate, predict, distribution.
+"""Batch pipeline with four commands: prepare, train, evaluate and predict.
 
 Configuration comes from a JSON file (``--config``) with flags overriding
-individual fields; every run writes the resolved configuration next to its
-outputs. ``train`` and ``evaluate`` rebuild each horizon's labeled dataset
+individual fields. ``resolve_config`` merges the two over the defaults and
+checks each value once there, whichever source it came from; the commands
+read the values as checked. Every run writes the resolved configuration next
+to its outputs. ``train`` and ``evaluate`` rebuild each horizon's labeled dataset
 from the series in memory; ``prepare`` writes only the class-distribution
 report. ``train`` records each split as (seed, test fraction, dataset
 sha256) beside the model, and ``evaluate`` refuses to score a model whose
@@ -53,12 +55,11 @@ _DEFAULT_CONFIG = {
 def _read_config_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+    _object("config", doc, _DEFAULT_CONFIG)
     version = doc.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}")
@@ -66,123 +67,137 @@ def _read_config_file(path) -> dict:
 
 
 def _parse_grid_spec(text: str) -> dict:
-    """'50,100,200x2,4,6' -> grid dict; 'default' -> the standard grid."""
+    """'50,100,200x2,4,6[x3]' -> grid dict; 'default' -> ParamGrid()'s choices."""
     if text == "default":
-        return {"n_estimators": [50, 100, 200], "max_depth": [2, 4, 6], "folds": 3}
+        default = evaluation.ParamGrid()
+        return {"n_estimators": list(default.n_estimators_choices), "max_depth": list(default.max_depth_choices)}
     parts = text.split("x")
     if len(parts) not in (2, 3):
-        raise ConfigError(
-            f"bad --grid {text!r}; expected N_EST_CHOICESxDEPTH_CHOICES[xFOLDS], "
-            "e.g. 50,100,200x2,4,6"
-        )
-    try:
-        n_est = [int(v) for v in parts[0].split(",")]
-        depths = [int(v) for v in parts[1].split(",")]
-        folds = int(parts[2]) if len(parts) == 3 else 3
-    except ValueError as exc:
-        raise ConfigError(f"bad --grid {text!r}: {exc}") from exc
-    return {"n_estimators": n_est, "max_depth": depths, "folds": folds}
+        raise ValueError("expected N_EST_CHOICESxDEPTH_CHOICES[xFOLDS], e.g. 50,100,200x2,4,6")
+    grid = {key: [int(v) for v in part.split(",")] for key, part in zip(("n_estimators", "max_depth"), parts)}
+    if len(parts) == 3:
+        grid["folds"] = int(parts[2])
+    return grid
+
+
+# flags whose text stands for a list or a grid; each parser raises ValueError
+_FLAG_PARSERS = {
+    "thresholds_mw": lambda text: [float(v) for v in text.split(",")],
+    "horizons": lambda text: [int(v) for v in text.split(",")],
+    "grid": _parse_grid_spec,
+}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- flags, validated."""
+    """Defaults <- config file <- flags. Each flag's dest is the config key it
+    sets. Every value is checked once here, whichever source it came from, and
+    stored as the type the commands read."""
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-        for key, value in file_cfg.items():
-            if key == "data" and isinstance(value, dict):
-                cfg["data"].update(value)
-            else:
-                cfg[key] = value
+    if args.config:
+        doc = _read_config_file(args.config)
+        cfg["data"].update(_object("data", doc.pop("data", {}), cfg["data"]))
+        cfg.update(doc)
 
-    if getattr(args, "data", None):
-        cfg["data"]["path"] = args.data
-    for flag, key in (
-        ("timestamp_column", "timestamp_column"),
-        ("power_column", "power_column"),
-        ("delimiter", "delimiter"),
-        ("site_id", "site_id"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg["data"][key] = value
-    if getattr(args, "resolution_s", None) is not None:
-        cfg["resolution_s"] = args.resolution_s
-    if getattr(args, "capacity_mw", None) is not None:
-        cfg["rated_capacity_mw"] = args.capacity_mw
-    if getattr(args, "threshold_fraction", None) is not None:
-        cfg["threshold_fraction"] = args.threshold_fraction
-        cfg["thresholds_mw"] = None
-    if getattr(args, "threshold_mw", None) is not None:
-        try:
-            cfg["thresholds_mw"] = [float(v) for v in args.threshold_mw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --threshold-mw {args.threshold_mw!r}") from exc
-    if getattr(args, "horizons", None) is not None:
-        try:
-            cfg["horizons"] = [int(v) for v in args.horizons.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --horizons {args.horizons!r}") from exc
-    if getattr(args, "lags", None) is not None:
-        cfg["lag_count"] = args.lags
-    if getattr(args, "test_fraction", None) is not None:
-        cfg["test_fraction"] = args.test_fraction
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg["workers"] = args.workers
-    if getattr(args, "grid", None) is not None:
-        cfg["grid"] = _parse_grid_spec(args.grid)
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
+    flags = vars(args)
+    # in _DEFAULT_CONFIG's order: --threshold-mw lands after --threshold-fraction clears it
+    for key in (*cfg["data"], *cfg):
+        value = flags.get(key)
+        if value is None:
+            continue
+        if key in _FLAG_PARSERS:
+            try:
+                value = _FLAG_PARSERS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"bad {key} flag {value!r}: {exc}") from exc
+        if key == "threshold_fraction":
+            cfg["thresholds_mw"] = None
+        (cfg["data"] if key in cfg["data"] else cfg)[key] = value
 
     _validate_config(cfg)
     return cfg
 
 
-def _number(key: str, value, kind: type):
-    """A config value as ``kind`` (int or float); strings, booleans and, for
-    int, fractional numbers raise a ConfigError naming ``key``."""
+def _object(key: str, value, known) -> dict:
+    """``value`` when it is a JSON object whose keys are all in ``known``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {key} key(s): {', '.join(unknown)}")
+    return value
+
+
+def _number(key: str, value, kind: type, valid=lambda v: True, rule: str = ""):
+    """A config value as ``kind`` (int or float). Strings, booleans, for int
+    fractional numbers, and values for which ``valid`` is false raise a
+    ConfigError naming ``key``. ``valid`` sees the value as given, so a bound
+    on a float key also keeps a huge integer from overflowing ``float()``."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if not valid(value):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
     return kind(value)
 
 
+def _numbers(key: str, values, kind: type, valid=lambda v: True, rule: str = "") -> list:
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key} must be a non-empty list of numbers, got {values!r}")
+    return [_number(key, v, kind, valid, rule) for v in values]
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: 0 < v <= sys.float_info.max, "finite and > 0")
+
+# key -> (type, condition on the value, the condition in words)
+_SCALARS = {
+    "resolution_s": (int, *_AT_LEAST_1),
+    "rated_capacity_mw": (float, *_POSITIVE),
+    "threshold_fraction": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lag_count": (int, *_AT_LEAST_1),
+    "test_fraction": (float, lambda v: 0 < v < 1, "in (0, 1)"),
+    "seed": (int, lambda v: v >= 0, ">= 0"),
+}
+
+
 def _validate_config(cfg: dict) -> None:
+    """Check every value of the merged config, storing each as its type."""
     if not cfg["data"]["path"]:
         raise ConfigError("no input data path given (config data.path or --data)")
+    for key, value in (*((f"data.{k}", v) for k, v in cfg["data"].items()), ("out", cfg["out"])):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+    if len(cfg["data"]["delimiter"]) != 1:
+        raise ConfigError(f"data.delimiter must be one character, got {cfg['data']['delimiter']!r}")
     if cfg["rated_capacity_mw"] is None:
         raise ConfigError("rated capacity is required (config rated_capacity_mw or --capacity-mw)")
-    if not (_number("rated_capacity_mw", cfg["rated_capacity_mw"], float) > 0):
-        raise ConfigError(f"rated_capacity_mw must be > 0, got {cfg['rated_capacity_mw']}")
-    horizons = cfg["horizons"]
-    steps = [_number("horizons", s, int) for s in horizons] if isinstance(horizons, list) else []
-    if not steps or len(set(steps)) != len(steps) or min(steps) < 1:
-        raise ConfigError(f"horizons must be distinct integers >= 1, got {horizons}")
-    thresholds = cfg["thresholds_mw"]
-    if thresholds is not None and not isinstance(thresholds, list):
-        raise ConfigError(f"thresholds_mw must be a list of numbers, got {thresholds!r}")
-    for t in thresholds or ():
-        _number("thresholds_mw", t, float)
-    fraction = cfg["threshold_fraction"]
-    if cfg["thresholds_mw"] is None and not (0 < _number("threshold_fraction", fraction, float) <= 1):
-        raise ConfigError(f"threshold_fraction must be in (0, 1], got {fraction}")
-    if _number("lag_count", cfg["lag_count"], int) < 1:
-        raise ConfigError(f"lag_count must be >= 1, got {cfg['lag_count']}")
-    if not (0 < _number("test_fraction", cfg["test_fraction"], float) < 1):
-        raise ConfigError(f"test_fraction must be in (0, 1), got {cfg['test_fraction']}")
-    if cfg["workers"] is not None and _number("workers", cfg["workers"], int) < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}")
-    _number("resolution_s", cfg["resolution_s"], int)
-    _number("seed", cfg["seed"], int)
+    for key, (kind, valid, rule) in _SCALARS.items():
+        cfg[key] = _number(key, cfg[key], kind, valid, rule)
+    if cfg["workers"] is not None:
+        cfg["workers"] = _number("workers", cfg["workers"], int, *_AT_LEAST_1)
+    cfg["horizons"] = _numbers("horizons", cfg["horizons"], int, *_AT_LEAST_1)
+    if len(set(cfg["horizons"])) != len(cfg["horizons"]):
+        raise ConfigError(f"horizons must be distinct, got {cfg['horizons']}")
+    if cfg["thresholds_mw"] is not None:
+        cfg["thresholds_mw"] = thresholds = _numbers("thresholds_mw", cfg["thresholds_mw"], float, *_POSITIVE)
+        if thresholds != sorted(set(thresholds)):
+            raise ConfigError(f"thresholds_mw must be strictly increasing, got {thresholds}")
+    hyperparams = _object("hyperparams", cfg["hyperparams"], (f.name for f in dataclasses.fields(gbrt.HyperParams)))
+    gbrt.HyperParams(**hyperparams)  # checks each value, naming its key
+    grid = cfg["grid"]
+    if grid is not None:
+        _object("grid", grid, ("n_estimators", "max_depth", "folds"))
+        cfg["grid"] = {
+            "n_estimators": _numbers("grid.n_estimators", grid.get("n_estimators"), int),
+            "max_depth": _numbers("grid.max_depth", grid.get("max_depth"), int),
+            "folds": _number("grid.folds", grid.get("folds", evaluation.ParamGrid.folds), int,
+                             lambda v: v >= 2, ">= 2"),
+        }
 
 
 def _thresholds(cfg: dict) -> labeling.ThresholdSet:
     if cfg["thresholds_mw"]:
         return labeling.ThresholdSet(tuple(cfg["thresholds_mw"]))
-    return labeling.ThresholdSet.from_fraction(
-        float(cfg["threshold_fraction"]), float(cfg["rated_capacity_mw"])
-    )
+    return labeling.ThresholdSet.from_fraction(cfg["threshold_fraction"], cfg["rated_capacity_mw"])
 
 
 def _load_series(cfg: dict) -> tuple[series.WindPowerSeries, series.LoadReport]:
@@ -195,20 +210,10 @@ def _load_series(cfg: dict) -> tuple[series.WindPowerSeries, series.LoadReport]:
     return series.load_series(
         data["path"],
         schema,
-        resolution_s=int(cfg["resolution_s"]),
-        rated_capacity_mw=float(cfg["rated_capacity_mw"]),
-        site_id=data.get("site_id", ""),
+        resolution_s=cfg["resolution_s"],
+        rated_capacity_mw=cfg["rated_capacity_mw"],
+        site_id=data["site_id"],
     )
-
-
-def _hyperparams(cfg: dict) -> gbrt.HyperParams:
-    hyperparams = cfg.get("hyperparams", {})
-    if not isinstance(hyperparams, dict):
-        raise ConfigError(f"hyperparams must be an object, got {hyperparams!r}")
-    unknown = sorted(set(hyperparams) - {field.name for field in dataclasses.fields(gbrt.HyperParams)})
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter(s) {', '.join(unknown)}")
-    return gbrt.HyperParams(**hyperparams)
 
 
 def _out_dirs(cfg: dict) -> dict[str, Path]:
@@ -235,7 +240,7 @@ def _model_path(dirs: dict, s: int) -> Path:
 
 
 def _build_dataset(cfg: dict, wps: series.WindPowerSeries, thresholds, s: int) -> labeling.LabeledDataset:
-    horizon = labeling.HorizonSpec(steps_ahead=int(s), lag_count=int(cfg["lag_count"]))
+    horizon = labeling.HorizonSpec(steps_ahead=s, lag_count=cfg["lag_count"])
     return labeling.build_dataset(wps, horizon, thresholds)
 
 
@@ -287,34 +292,22 @@ def cmd_prepare(cfg: dict) -> int:
     return 0
 
 
-def cmd_distribution(cfg: dict, as_json: bool) -> int:
-    wps, _ = _load_series(cfg)
-    doc = _distribution_doc(cfg, wps, _thresholds(cfg))
-    print(json.dumps(doc, indent=2, sort_keys=True) if as_json else _distribution_text(doc))
-    return 0
-
-
 def cmd_train(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
     _write_resolved_config(cfg, dirs["root"])
-    seed = int(cfg["seed"])
-    workers = cfg["workers"]
-    workers = None if workers is None else int(workers)
-    fixed = _hyperparams(cfg)
+    seed = cfg["seed"]
+    fixed = gbrt.HyperParams(**cfg["hyperparams"])
+    grid = cfg["grid"] and evaluation.ParamGrid(
+        tuple(cfg["grid"]["n_estimators"]), tuple(cfg["grid"]["max_depth"]), cfg["grid"]["folds"]
+    )
     wps, _ = _load_series(cfg)
     thresholds = _thresholds(cfg)
     for s in cfg["horizons"]:
-        s = int(s)
         ds = _build_dataset(cfg, wps, thresholds, s)
-        train_ds, _ = evaluation.stratified_split(ds, float(cfg["test_fraction"]), seed)
+        train_ds, _ = evaluation.stratified_split(ds, cfg["test_fraction"], seed)
         params = fixed
-        if cfg["grid"]:
-            grid = evaluation.ParamGrid(
-                n_estimators_choices=tuple(cfg["grid"]["n_estimators"]),
-                max_depth_choices=tuple(cfg["grid"]["max_depth"]),
-                folds=int(cfg["grid"].get("folds", 3)),
-            )
-            params, table = evaluation.grid_search(train_ds, grid, fixed, seed=seed, workers=workers)
+        if grid:
+            params, table = evaluation.grid_search(train_ds, grid, fixed, seed=seed, workers=cfg["workers"])
             (dirs["reports"] / f"grid_horizon_{s}.json").write_text(
                 json.dumps(
                     {
@@ -333,7 +326,7 @@ def cmd_train(cfg: dict) -> int:
             json.dumps(
                 {
                     "seed": seed,
-                    "test_fraction": float(cfg["test_fraction"]),
+                    "test_fraction": cfg["test_fraction"],
                     "dataset_sha256": _dataset_sha256(ds),
                 },
                 sort_keys=True,
@@ -374,7 +367,6 @@ def cmd_evaluate(cfg: dict) -> int:
 
     def horizons():
         for s in cfg["horizons"]:
-            s = int(s)
             model_path = _model_path(dirs, s)
             if not model_path.exists():
                 raise DataError(f"model {model_path} missing; run `windramp train` first")
@@ -401,7 +393,10 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def _read_feature_rows(source: str, lag_count: int) -> np.ndarray:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    try:
+        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read feature rows from {source}: {exc}") from exc
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -450,19 +445,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data", help="delimited input series file")
-        p.add_argument("--timestamp-column", dest="timestamp_column")
-        p.add_argument("--power-column", dest="power_column")
+        p.add_argument("--data", dest="path", help="delimited input series file")
+        p.add_argument("--timestamp-column")
+        p.add_argument("--power-column")
         p.add_argument("--delimiter")
-        p.add_argument("--site-id", dest="site_id")
-        p.add_argument("--resolution-s", dest="resolution_s", type=int)
-        p.add_argument("--capacity-mw", dest="capacity_mw", type=float)
-        p.add_argument("--threshold-fraction", dest="threshold_fraction", type=float)
-        p.add_argument("--threshold-mw", dest="threshold_mw",
+        p.add_argument("--site-id")
+        p.add_argument("--resolution-s", type=int)
+        p.add_argument("--capacity-mw", dest="rated_capacity_mw", type=float)
+        p.add_argument("--threshold-fraction", type=float)
+        p.add_argument("--threshold-mw", dest="thresholds_mw",
                        help="absolute threshold(s), comma-separated")
         p.add_argument("--horizons", help="comma-separated steps-ahead list, e.g. 1,2,3")
-        p.add_argument("--lags", type=int, help="length of the lag feature window")
-        p.add_argument("--test-fraction", dest="test_fraction", type=float)
+        p.add_argument("--lags", dest="lag_count", type=int, help="length of the lag feature window")
+        p.add_argument("--test-fraction", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int,
                        help="threads running grid-search fits at once (default 1); "
@@ -474,12 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("prepare", "write the class-distribution report and the resolved config"),
         ("train", "train one model per horizon (grid search when configured)"),
         ("evaluate", "score models against persistence and majority baselines"),
-        ("distribution", "print per-horizon class distributions"),
     ):
-        p = sub.add_parser(name, help=descr)
-        add_common(p)
-        if name == "distribution":
-            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        add_common(sub.add_parser(name, help=descr))
 
     p = sub.add_parser("predict", help="classify feature rows with a saved model")
     p.add_argument("model", help="model file written by `windramp train`")
@@ -492,16 +483,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "predict":
             return cmd_predict(args.model, args.input)
-        cfg = resolve_config(args)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "distribution":
-            return cmd_distribution(cfg, args.json)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {"prepare": cmd_prepare, "train": cmd_train, "evaluate": cmd_evaluate}
+        return commands[args.command](resolve_config(args))
     except ConfigError as exc:
         _error_line("config", exc)
         return 2

@@ -256,8 +256,6 @@ class ParamGrid:
             raise ConfigError("grid choice lists must be non-empty")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        object.__setattr__(self, "n_estimators_choices", tuple(int(v) for v in self.n_estimators_choices))
-        object.__setattr__(self, "max_depth_choices", tuple(int(v) for v in self.max_depth_choices))
 
 
 @dataclass(frozen=True)

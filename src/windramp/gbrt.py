@@ -23,7 +23,7 @@ of rows at once, in D vectorized steps.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -75,13 +75,13 @@ class HyperParams:
             raise ConfigError(f"n_estimators must be >= 1, got {self.n_estimators}")
         if not 1 <= self.max_depth <= MAX_DEPTH:
             raise ConfigError(f"max_depth must be in 1..{MAX_DEPTH}, got {self.max_depth}")
-        if not (self.reg_lambda >= 0 and math.isfinite(self.reg_lambda)):
+        if not 0 <= self.reg_lambda <= sys.float_info.max:
             raise ConfigError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+        if not 0 <= self.gamma <= sys.float_info.max:
             raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0 < self.learning_rate <= 1):
             raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not (self.min_child_hessian >= 0 and math.isfinite(self.min_child_hessian)):
+        if not 0 <= self.min_child_hessian <= sys.float_info.max:
             raise ConfigError(f"min_child_hessian must be >= 0, got {self.min_child_hessian}")
 
 
@@ -445,7 +445,7 @@ def serialize_model(model: GbrtModel) -> str:
 def deserialize_model(text: str) -> GbrtModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -523,6 +523,6 @@ def save_model(model: GbrtModel, path) -> None:
 def load_model(path) -> GbrtModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     return deserialize_model(text)

@@ -164,8 +164,11 @@ def load_series(
     Returns the series together with a LoadReport (rows read / dropped blank
     rows / gaps split / segment count).
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw, site_id)
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw, site_id)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read series file {path}: {exc}") from exc
 
 
 def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id):

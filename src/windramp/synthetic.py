@@ -15,32 +15,22 @@ import numpy as np
 from .errors import DataError
 from .series import WindPowerSeries
 
+RESOLUTION_S = 600
+SITE_ID = "synthetic"
+# Per-step probability of a storm starting during a calm stretch: roughly 1.5%
+# of steps then carry an injected severe ramp (about half of rated capacity in
+# one step), the order of magnitude of rare-event fractions in real site data.
+STORM_RATE = 0.004
+PLATEAU_STEPS = (7, 11)  # dwell on each storm plateau, inclusive range
+STORM_CYCLES = (2, 5)  # low/high plateau cycles per storm, inclusive range
+CALM_SIGMA = 0.02
+PLATEAU_SIGMA = 0.015
 
-def generate_series(
-    n_points: int,
-    *,
-    resolution_s: int = 600,
-    rated_capacity_mw: float = 20.0,
-    site_id: str = "synthetic",
-    seed: int = 0,
-    storm_rate: float = 0.004,
-    plateau_steps: tuple[int, int] = (7, 11),
-    storm_cycles: tuple[int, int] = (2, 5),
-    calm_sigma: float = 0.02,
-    plateau_sigma: float = 0.015,
-    start_ts: int | None = None,
-) -> WindPowerSeries:
-    """Generate one contiguous synthetic series.
 
-    ``storm_rate`` is the per-step probability of a storm starting during a
-    calm stretch; with the defaults roughly 1.5% of steps carry an injected
-    severe ramp (about half of rated capacity in one step), mimicking the
-    order of magnitude of rare-event fractions seen in real site data.
-    """
+def generate_series(n_points: int, *, rated_capacity_mw: float = 20.0, seed: int = 0) -> WindPowerSeries:
+    """Generate one contiguous synthetic series of ``n_points`` 10-minute steps."""
     if n_points < 2:
         raise DataError(f"n_points must be >= 2, got {n_points}")
-    if not (0 <= storm_rate < 1):
-        raise DataError(f"storm_rate must be in [0, 1), got {storm_rate}")
     rng = np.random.default_rng(seed)
     cap = rated_capacity_mw
     mid, low, high = 0.5, 0.10, 0.90
@@ -49,51 +39,49 @@ def generate_series(
     x = mid
     i = 0
     while i < n_points:
-        if storm_rate > 0 and rng.random() < storm_rate:
-            cycles = int(rng.integers(storm_cycles[0], storm_cycles[1] + 1))
+        if rng.random() < STORM_RATE:
+            cycles = int(rng.integers(STORM_CYCLES[0], STORM_CYCLES[1] + 1))
             # approach the low plateau gently (a mild ramp, not a severe one)
             for target in (0.30, low):
                 if i >= n_points:
                     break
-                x = target + plateau_sigma * rng.standard_normal()
+                x = target + PLATEAU_SIGMA * rng.standard_normal()
                 level[i] = x
                 i += 1
             for c in range(cycles):
                 for plateau in (high, low):
-                    dwell = int(rng.integers(plateau_steps[0], plateau_steps[1] + 1))
+                    dwell = int(rng.integers(PLATEAU_STEPS[0], PLATEAU_STEPS[1] + 1))
                     if i >= n_points:
                         break
                     # severe single-step jump onto the plateau
-                    x = plateau + plateau_sigma * rng.standard_normal()
+                    x = plateau + PLATEAU_SIGMA * rng.standard_normal()
                     level[i] = x
                     i += 1
                     for _ in range(dwell - 1):
                         if i >= n_points:
                             break
-                        x = plateau + plateau_sigma * rng.standard_normal()
+                        x = plateau + PLATEAU_SIGMA * rng.standard_normal()
                         level[i] = x
                         i += 1
             # leave the storm with two mild steps back toward mid
             for target in (0.30, mid):
                 if i >= n_points:
                     break
-                x = target + calm_sigma * rng.standard_normal()
+                x = target + CALM_SIGMA * rng.standard_normal()
                 level[i] = x
                 i += 1
         else:
-            x = x + 0.3 * (mid - x) + calm_sigma * rng.standard_normal()
+            x = x + 0.3 * (mid - x) + CALM_SIGMA * rng.standard_normal()
             level[i] = x
             i += 1
 
     np.clip(level, 0.02, 0.98, out=level)
     powers = cap * level
-    step = int(resolution_s)
-    t0 = step if start_ts is None else int(start_ts)
-    timestamps = t0 + step * np.arange(n_points, dtype=np.int64)
+    timestamps = RESOLUTION_S + RESOLUTION_S * np.arange(n_points, dtype=np.int64)
     return WindPowerSeries(
         timestamps=timestamps,
         powers=powers,
-        resolution_s=resolution_s,
+        resolution_s=RESOLUTION_S,
         rated_capacity_mw=rated_capacity_mw,
-        site_id=site_id,
+        site_id=SITE_ID,
     )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from windramp import generate_series, load_model, write_series
+from windramp import ParamGrid, generate_series, load_model, write_series
 from windramp.cli import main
 
 LAGS = 12
@@ -66,6 +66,20 @@ class TestPipeline:
         err = error_line(capsys)
         assert err["error"] == "data" and "changed" in err["message"]
 
+    @pytest.mark.parametrize("edit, code, kind", [
+        (lambda ws: ws["csv"].unlink(), 3, "data"),
+        (lambda ws: (ws["csv"].unlink(), ws["csv"].mkdir()), 3, "data"),
+        (lambda ws: ws["csv"].write_bytes(b"timestamp,power_mw\n600,\xff\n"), 3, "data"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600," + "1" * 200_000 + "\n"), 3, "data"),
+        (lambda ws: ws["config"].write_bytes(b'{"version": 1, "site_id": "\xff"}'), 2, "config"),
+        (lambda ws: ws["config"].write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}"), 2, "config"),
+    ], ids=["missing_series", "directory_series", "non_utf8_series", "oversized_field", "non_utf8_config",
+            "deeply_nested_config"])
+    def test_unreadable_input_exits_with_its_code(self, workspace, capsys, edit, code, kind):
+        edit(workspace)
+        assert main(workspace["argv"]("train")) == code
+        assert error_line(capsys)["error"] == kind
+
     def test_evaluation_identical_across_workers(self, workspace, tmp_path):
         docs = []
         for workers in (1, 2):
@@ -100,6 +114,22 @@ class TestPredict:
         src.write_text(",".join(["nan"] * LAGS) + "\n")
         assert main(["predict", str(model_path), str(src)]) == 3
         assert error_line(capsys)["error"] == "data"
+
+    @pytest.mark.parametrize("case, code, kind", [
+        ("non_utf8_model", 4, "training"), ("deeply_nested_model", 4, "training"), ("non_utf8_rows", 3, "data"),
+        ("missing_rows", 3, "data"),
+    ])
+    def test_unreadable_file_exits_with_its_code(self, model_path, tmp_path, capsys, case, code, kind):
+        src = tmp_path / "rows.csv"
+        if case == "non_utf8_model":
+            model_path.write_bytes(b"\xff" + model_path.read_bytes())
+        if case == "deeply_nested_model":
+            model_path.write_text("[" * 100_000 + "]" * 100_000)
+        if case != "missing_rows":
+            src.write_bytes(",".join(["1.0"] * LAGS).encode() + (b"\xff\n" if case == "non_utf8_rows" else b"\n"))
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(src)]) == code
+        assert error_line(capsys)["error"] == kind
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: [row.pop() for key in ("feature", "threshold") for row in d[key]], "layout"),
@@ -159,9 +189,19 @@ class TestConfig:
         assert cfg["workers"] == 1 and cfg["resolution_s"] == 600  # defaults
         assert cfg["horizons"] == [1, 3]
 
+    def test_threshold_fraction_flag_clears_config_thresholds(self, workspace):
+        workspace["config"].write_text(json.dumps({"version": 1, "thresholds_mw": [8.0]}))
+        resolved = workspace["out"] / "config.resolved.json"
+        assert main(workspace["argv"]("prepare", "--threshold-fraction", "0.3")) == 0
+        cfg = json.loads(resolved.read_text())
+        assert (cfg["thresholds_mw"], cfg["threshold_fraction"]) == (None, 0.3)
+        assert main(workspace["argv"]("prepare", "--threshold-fraction", "0.3", "--threshold-mw", "4,9")) == 0
+        assert json.loads(resolved.read_text())["thresholds_mw"] == [4.0, 9.0]
+
     @pytest.mark.parametrize("hyperparams", [{"n_estimators": 2.5}, {"max_depth": 40}, {"depth": 3},
-                                             {"reg_lambda": "x"}],
-                             ids=["n_estimators_float", "max_depth_40", "unknown_key", "reg_lambda_string"])
+                                             {"reg_lambda": "x"}, {"reg_lambda": 10**400}],
+                             ids=["n_estimators_float", "max_depth_40", "unknown_key", "reg_lambda_string",
+                                  "reg_lambda_huge_integer"])
     def test_bad_hyperparams_exit_2(self, workspace, capsys, hyperparams):
         workspace["config"].write_text(json.dumps({"version": 1, "hyperparams": hyperparams}))
         assert main(workspace["argv"]("train")) == 2
@@ -187,3 +227,44 @@ class TestConfig:
         assert main(argv) == 2
         err = error_line(capsys)
         assert err["error"] == "config" and key in err["message"]
+
+    @pytest.mark.parametrize("fault, key", [
+        ({"grid": 5}, "grid"),
+        ({"grid": {}}, "grid"),
+        ({"grid": {"n_estimators": ["x"], "max_depth": [2]}}, "n_estimators"),
+        ({"grid": {"n_estimators": [2.5], "max_depth": [2]}}, "n_estimators"),
+        ({"grid": {"n_estimators": [2], "max_depth": [2], "folds": "x"}}, "folds"),
+        ({"data": "x"}, "data"),
+        ({"data": {"delimiter": 5}}, "delimiter"),
+        ({"data": {"delimiter": "ab"}}, "delimiter"),
+        ({"data": {"delim": ";"}}, "delim"),
+        ({"out": 5}, "out"),
+        ({"lags": 12}, "lags"),
+        ({"rated_capacity_mw": float("inf")}, "rated_capacity_mw"),
+        ({"resolution_s": 0}, "resolution_s"),
+        ({"seed": -1}, "seed"),
+        ({"test_fraction": 10**400}, "test_fraction"),
+        ({"thresholds_mw": []}, "thresholds_mw"),
+        ({"thresholds_mw": [9, 4]}, "thresholds_mw"),
+    ], ids=["grid_5", "grid_empty", "grid_string_choice", "grid_fractional_choice", "grid_string_folds",
+            "data_string", "delimiter_5", "delimiter_2_chars", "unknown_data_key", "out_5", "unknown_key_lags",
+            "capacity_inf", "resolution_0", "seed_negative", "test_fraction_huge_integer",
+            "thresholds_empty", "thresholds_decreasing"])
+    def test_config_fault_exits_2(self, workspace, capsys, monkeypatch, tmp_path, fault, key):
+        monkeypatch.chdir(tmp_path)  # "out" is left to the config
+        workspace["config"].write_text(json.dumps({
+            "version": 1, "rated_capacity_mw": 20, "hyperparams": {"n_estimators": 1, "max_depth": 1}, **fault,
+        }))
+        argv = ["train", "--config", str(workspace["config"]), "--data", str(workspace["csv"]), "--horizons", "1"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and key in err["message"]
+
+    def test_default_grid_is_param_grid_default(self, workspace):
+        assert main(workspace["argv"]("prepare", "--grid", "default")) == 0
+        cfg = json.loads((workspace["out"] / "config.resolved.json").read_text())
+        default = ParamGrid()
+        assert cfg["grid"] == {"n_estimators": list(default.n_estimators_choices),
+                               "max_depth": list(default.max_depth_choices), "folds": default.folds}
