@@ -2,12 +2,11 @@
 
 Second-order additive boosting against softmax cross-entropy: each round
 fits one regression tree per class to the first/second loss derivatives at
-the current scores, using exact greedy split finding over feature columns
-sorted once per training run. Trees grow one level at a time: every node of
-a level holds one column range of the sorted columns, and one partition
-pass per level moves all their rows into the next level's ranges. Training
-is serial and deterministic; ``evaluation.grid_search`` runs whole fits in
-parallel.
+the current scores. Trees grow level by level on feature columns cut into
+at most 256 bins once per training run: one ``np.bincount`` per feature and
+sum builds the histograms of all the level's nodes, and one vectorized pass
+searches them. Training is serial and deterministic;
+``evaluation.grid_search`` runs whole fits in parallel.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
 stacked, each in complete binary layout of depth D, the depth of its
@@ -38,8 +37,11 @@ MODEL_FORMAT_VERSION = 2
 # the layout gives every tree 2^max_depth leaf slots
 MAX_DEPTH = 12
 
-# (feature, row) cells searched per block of a node: small enough to stay in cache
-_SEARCH_CELLS = 32768
+# bins per column, so that a bin fits in a uint8
+_MAX_BINS = 256
+
+# (node, feature, bin) histogram cells held at once; wider levels go a block of nodes at a time
+_HIST_CELLS = 1 << 20
 
 # (row, tree) node ids walked per block of rows: small enough to stay in cache
 _BLOCK_NODES = 16384
@@ -83,13 +85,6 @@ class HyperParams:
             raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if not 0 <= self.min_child_hessian <= sys.float_info.max:
             raise ConfigError(f"min_child_hessian must be >= 0, got {self.min_child_hessian}")
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    gain: float
 
 
 class Tree(NamedTuple):
@@ -146,138 +141,140 @@ def softmax_gradients(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     return g, h
 
 
-def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, values)``, both F x n: row j of ``order`` holds the row ids
-    stable-sorted by feature j, row j of ``values`` the sorted values."""
-    columns = np.ascontiguousarray(X.T, dtype=np.float64)
-    order = np.argsort(columns, axis=1, kind="stable").astype(np.int64, copy=False)
-    return order, np.take_along_axis(columns, order, axis=1)
+def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bins, edges)``: the F x n uint8 bin of every value, and each
+    column's ascending bin edges (one row per column, padded with +inf).
 
-
-def _node_split(values: np.ndarray, G: np.ndarray, H: np.ndarray, params: HyperParams) -> Split | None:
-    """Exact greedy split of one node, or None.
-
-    Row j of the F x m blocks holds the node's values of feature j in
-    ascending order and the gradient pairs of the same rows. Candidate
-    thresholds are midpoints between consecutive distinct values; both
-    children must satisfy the hessian-mass floor; ties on gain resolve to
-    the lowest threshold, then to the lowest feature index.
+    A column with at most _MAX_BINS distinct values gets an edge at each of
+    them above its minimum. Any other column gets, for i = 1..127, its
+    inverted-CDF quantile i/128 and its smallest value at or above min +
+    i/128 of its range: the quantiles resolve dense values, and the grid
+    keeps edges where values are sparse, as on a ramp. A value's bin is the
+    number of edges <= it, so bin > k exactly when value >= edges[k].
     """
-    num_features, m = values.shape
-    if m < 2:
-        return None
+    columns = np.ascontiguousarray(X.T, dtype=np.float64)
+    num_features, n = columns.shape
+    ordered = np.sort(columns, axis=1)
+    half = _MAX_BINS // 2
+    # the inverted-CDF quantile i/B of n sorted values is the ceil(n*i/B)-th smallest
+    quantiles = ordered[:, (n * np.arange(1, half) - 1) // half]
+    edges = np.full((num_features, _MAX_BINS - 1), np.inf)
+    bins = np.empty((num_features, n), dtype=np.uint8)
+    for j, column in enumerate(ordered):
+        cut = column[np.flatnonzero(column[1:] != column[:-1]) + 1]
+        if cut.size >= _MAX_BINS:
+            grid = column[0] + np.arange(1, half) / half * (column[-1] - column[0])
+            cut = np.unique([quantiles[j], column[np.searchsorted(column, grid).clip(max=n - 1)]])
+            cut = cut[cut > column[0]]
+        edges[j, :cut.size] = cut
+        bins[j] = np.searchsorted(cut, columns[j], side="right")
+    # keep a padding column at least, so that every search has a candidate to reject
+    return bins, edges[:, :max(1, np.isfinite(edges).sum(axis=1).max())]
+
+
+def _histograms(columns: np.ndarray, node: np.ndarray, g: np.ndarray, h: np.ndarray, count: int, width: int):
+    """Gradient, hessian and row-count histograms (count x 3 x F x width) of
+    ``count`` nodes, from their rows' bins (F x m) and nodes (m)."""
+    hist = np.empty((count, 3, len(columns), width))
+    base = node * width
+    for j, column in enumerate(columns):
+        index = base + column
+        for c, weights in enumerate((g, h, None)):
+            hist[:, c, j] = np.bincount(index, weights, count * width).reshape(count, width)
+    return hist
+
+
+def _best_splits(hist: np.ndarray, G: np.ndarray, H: np.ndarray, params: HyperParams):
+    """``(feature, k)`` of each node's best split, sending bins <= k left;
+    feature is -1 where no split has positive gain. A candidate needs rows
+    left of it and in bin k+1, so each one is a distinct partition. Both
+    children must satisfy the hessian-mass floor; ties on gain resolve to
+    the lowest feature, then to the lowest k."""
     lam, floor = params.reg_lambda, params.min_child_hessian
-    best_gain = np.empty(num_features)
-    best_k = np.empty(num_features, dtype=np.int64)
-    step = max(1, _SEARCH_CELLS // m)
-    for f in range(0, num_features, step):
-        cg = np.cumsum(G[f:f + step], axis=1)
-        ch = np.cumsum(H[f:f + step], axis=1)
-        g_total, h_total = cg[:, -1:], ch[:, -1:]
-        gl, hl = cg[:, :-1], ch[:, :-1]
-        gr, hr = g_total - gl, h_total - hl
-        v = values[f:f + step]
-        valid = v[:, 1:] > v[:, :-1]
-        if floor > 0:
-            valid &= (hl >= floor) & (hr >= floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            parent = g_total * g_total / (h_total + lam)
-            gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - params.gamma
-        gain[~valid] = -np.inf
-        if lam == 0.0 and floor == 0.0:
-            np.nan_to_num(gain, nan=-np.inf, copy=False)  # 0/0 at zero-hessian children
-        k = np.argmax(gain, axis=1)
-        best_k[f:f + step] = k
-        best_gain[f:f + step] = np.take_along_axis(gain, k[:, None], axis=1)[:, 0]
-    best_gain[~(best_gain > 0.0)] = -np.inf
-    j = int(np.argmax(best_gain))
-    if not best_gain[j] > 0.0:
-        return None
-    k = best_k[j]
-    return Split(feature=j, threshold=float(0.5 * (values[j, k] + values[j, k + 1])),
-                 gain=float(best_gain[j]))
-
-
-def find_best_split(
-    order: np.ndarray,
-    values: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    params: HyperParams,
-) -> Split | None:
-    """Exact greedy split over all features of one node, given the node's
-    rows pre-sorted per feature as :func:`presort` returns them."""
-    return _node_split(values, grad.take(order), hess.take(order), params)
+    left = np.cumsum(hist[..., :-1], axis=-1)
+    gl, hl = left[:, 0], left[:, 1]
+    G, H = G[:, None, None], H[:, None, None]
+    gr, hr = G - gl, H - hl
+    valid = (left[:, 2] > 0) & (hist[:, 2, :, 1:] > 0)
+    if floor > 0:
+        valid &= (hl >= floor) & (hr >= floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)) - params.gamma
+    gain = np.where(valid & (gain > 0.0), gain, -np.inf).reshape(len(G), -1)  # NaN (0/0) is no gain
+    best = np.argmax(gain, axis=1)
+    feature, k = np.divmod(best, hist.shape[-1] - 1)
+    return np.where(gain[np.arange(len(G)), best] > 0.0, feature, -1), k
 
 
 def grow_tree(
-    order: np.ndarray,
-    values: np.ndarray,
+    bins: np.ndarray,
+    edges: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     params: HyperParams,
     train_leaf_values: np.ndarray | None = None,
 ) -> Tree:
-    """Greedy growth to max_depth, one level at a time, straight into the
+    """Greedy growth to max_depth over the histograms of the columns
+    :func:`bin_columns` binned, one level at a time, straight into the
     complete binary layout of depth max_depth.
 
-    ``order`` and ``values`` are the rows pre-sorted per feature, as
-    :func:`presort` returns them. Within a level each node owns one column
-    range, the same in every feature row, and holds its rows in the order a
-    stable partition of the root's sort gives, so every floating-point sum
-    is the same as a node-by-node search would compute. Leaf weight is
-    -G/(H+lambda); the learning rate is applied when scores are accumulated,
-    not here. When ``train_leaf_values`` is given, each training row's leaf
-    weight is written into it, sparing a full predict pass.
+    Below the root only the smaller child of each split is built from its
+    rows; the larger one is its parent's histogram minus the smaller one's.
+    A level wider than _HIST_CELLS cells is built from the rows and searched
+    one block of nodes at a time. A split after bin k stores threshold
+    edges[k]. Leaf weight is -G/(H+lambda) from the node's own sums; the
+    learning rate is applied when scores are accumulated, not here. When
+    ``train_leaf_values`` is given, each training row's leaf weight is
+    written into it, sparing a full predict pass.
     """
-    if order.shape[1] == 0:
+    num_features, n = bins.shape
+    if n == 0:
         raise TrainingError("cannot grow a tree on an empty row set")
-    top = params.max_depth
+    top, width = params.max_depth, edges.shape[1] + 1  # width: bins per feature
     feature = np.full(2**top - 1, -1, dtype=np.int32)
     threshold = np.full(2**top - 1, np.inf)
     leaf = np.zeros(2**top)
-    lam = params.reg_lambda
-    side = np.empty(grad.size, dtype=np.int8)  # per row: 0 left, 1 right, 2 leaf
-    level = [(0, 0, order.shape[1])]  # (slot, start, stop) of each node
+    step = max(1, _HIST_CELLS // (num_features * width))  # nodes per block of a level
+    # the rows of the level's nodes, their gradient pairs and their nodes (indices into slots)
+    rows, g, h, node = np.arange(n), grad, hess, np.zeros(n, dtype=np.intp)
+    slots = np.zeros(1, dtype=np.intp)  # each node's slot in the layout
+    hist = _histograms(bins, node, g, h, 1, width)
     for depth in range(top + 1):
-        G, H = grad.take(order), hess.take(order)
-        splits = []
-        for slot, a, b in level:
-            split = _node_split(values[:, a:b], G[:, a:b], H[:, a:b], params) if depth < top else None
-            if split is not None:
-                j = split.feature
-                right = values[j, a:b] >= split.threshold
-                n_right = int(np.count_nonzero(right))
-                if 0 < n_right < b - a:  # else a degenerate midpoint (adjacent representable values)
-                    side[order[j, a:b]] = right
-                    feature[slot], threshold[slot] = j, split.threshold
-                    splits.append((slot, (b - a - n_right, n_right)))
-                    continue
-            denom = float(H[0, a:b].sum()) + lam
-            value = -float(G[0, a:b].sum()) / denom if denom > 0 else 0.0
-            if train_leaf_values is not None:
-                train_leaf_values[order[0, a:b]] = value
-            side[order[0, a:b]] = 2
-            span = 2 ** (top - depth)  # leaf slots under this one
-            first = (slot + 1 - 2**depth) * span
-            leaf[first:first + span] = value
-        if not splits:
+        count = slots.size
+        G, H = np.bincount(node, g, count), np.bincount(node, h, count)
+        split, k = np.full(count, -1), np.zeros(count, dtype=np.intp)
+        for a in range(0, count if depth < top else 0, step):
+            block = hist
+            if block is None:
+                mine = (node >= a) & (node < a + step)
+                block = _histograms(bins[:, rows[mine]], node[mine] - a, g[mine], h[mine], min(step, count - a), width)
+            split[a:a + step], k[a:a + step] = _best_splits(block, G[a:a + step], H[a:a + step], params)
+        inner = split >= 0
+        value = np.divide(-G, H + params.reg_lambda, out=np.zeros(count), where=H + params.reg_lambda > 0)
+        done = ~inner[node]
+        if train_leaf_values is not None:
+            train_leaf_values[rows[done]] = value[node[done]]
+        leaf.reshape(2**depth, -1)[slots[~inner] + 1 - 2**depth] = value[~inner, None]  # every leaf slot below
+        n_splits = int(np.count_nonzero(inner))
+        if not n_splits:
             break
-        # left children first, then right ones; each keeps its rows' order.
-        # The leaves of the last level need only their rows: feature row 0
-        if depth == top - 1:
-            order = order[:1]
-        codes = side.take(order).ravel()
-        keep = np.concatenate(
-            [np.flatnonzero(codes == s).reshape(len(order), -1) for s in (0, 1)], axis=1
-        )
-        order = order.ravel().take(keep)
-        values = values.ravel().take(keep) if depth < top - 1 else None
-        level, start = [], 0
-        for child in (0, 1):
-            for slot, counts in splits:
-                level.append((2 * slot + 1 + child, start, start + counts[child]))
-                start += counts[child]
+        feature[slots[inner]], threshold[slots[inner]] = split[inner], edges[split[inner], k[inner]]
+        # the children of the i-th split are nodes 2i (left) and 2i+1 (right)
+        rank = np.cumsum(inner) - 1
+        rows, g, h, node = rows[~done], g[~done], h[~done], node[~done]
+        right = bins[split[node], rows] > k[node]
+        node = 2 * rank[node] + right
+        slots = (2 * slots[inner, None] + [1, 2]).ravel()
+        if hist is None or 2 * n_splits > step or depth + 1 == top:
+            hist = None
+            continue
+        sizes = np.bincount(node, minlength=2 * n_splits).reshape(n_splits, 2)
+        small = sizes[:, 1] < sizes[:, 0]  # whether the right child is the smaller one; ties go left
+        mine = right == small[node >> 1]
+        built = _histograms(bins[:, rows[mine]], node[mine] >> 1, g[mine], h[mine], n_splits, width)
+        hist = np.stack((built, hist[inner] - built), axis=1)  # (smaller, larger) child of each split
+        hist[small] = hist[small, ::-1]
+        hist = hist.reshape((2 * n_splits,) + hist.shape[2:])
     return Tree(feature, threshold, leaf)
 
 
@@ -376,7 +373,9 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     Each round computes softmax gradients at the current scores, grows one
     tree per class against them, and accumulates learning_rate-scaled leaf
     weights. The base score is the log of add-one-smoothed class priors.
-    The feature columns are sorted once, and every tree starts from them.
+    The feature columns are binned once, and a split after bin k stores
+    threshold edges[k], a value of its column: predict routes the training
+    rows exactly as their bins did.
     """
     params = params or HyperParams()
     X = dataset.features
@@ -393,14 +392,14 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     counts = np.bincount(y, minlength=num_classes)
     base_score = np.log((counts + 1.0) / (n + num_classes))
     scores = np.tile(base_score, (n, 1))
-    order, values = presort(X)
+    bins, edges = bin_columns(X)
     trees: list[Tree] = []
     leaf_values = np.empty(n, dtype=np.float64)
     for _ in range(params.n_estimators):
         g, h = softmax_gradients(scores, y)
         for c in range(num_classes):
             trees.append(grow_tree(
-                order, values, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
+                bins, edges, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
                 params, train_leaf_values=leaf_values,
             ))
             scores[:, c] += params.learning_rate * leaf_values

@@ -55,10 +55,12 @@ def finite_difference_gradients(scores, targets, eps=1e-6):
 
 
 def brute_force_best_split(X, g, h, reg_lambda, gamma, min_child_hessian):
-    """Enumerate every (feature, midpoint-threshold) pair directly.
+    """Enumerate every (feature, threshold) pair directly.
 
-    Returns (feature, threshold, gain) for the best positive-gain split
-    under the tie-break lowest feature index then lowest threshold, or None.
+    Each candidate threshold is a value of the column above its smallest
+    one: rows below it go left. Returns (feature, threshold, gain) for the
+    best positive-gain split under the tie-break lowest feature index then
+    lowest threshold, or None.
     """
     X = np.asarray(X, dtype=np.float64)
     n, num_features = X.shape
@@ -75,8 +77,7 @@ def brute_force_best_split(X, g, h, reg_lambda, gamma, min_child_hessian):
     best = None
     for j in range(num_features):
         values = sorted(set(float(v) for v in X[:, j]))
-        for lo, hi in zip(values, values[1:]):
-            threshold = 0.5 * (lo + hi)
+        for threshold in values[1:]:
             gl = hl = 0.0
             gr = hr = 0.0
             for i in range(n):

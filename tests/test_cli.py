@@ -81,14 +81,18 @@ class TestPipeline:
         assert error_line(capsys)["error"] == kind
 
     def test_evaluation_identical_across_workers(self, workspace, tmp_path):
-        docs = []
+        """Every model file and the evaluation report are byte for byte the
+        same whether the grid fits run on one thread or two."""
+        outputs = []
         for workers in (1, 2):
             out = tmp_path / f"out_w{workers}"
             for stage in ("train", "evaluate"):
                 argv = workspace["argv"](stage, "--workers", str(workers), "--grid", "2,3x1,2x2", out_dir=out)
                 assert main(argv) == 0
-            docs.append((out / "reports" / "evaluation.json").read_bytes())
-        assert docs[0] == docs[1]
+            files = [out / "reports" / "evaluation.json", *sorted((out / "models").glob("*.model.json"))]
+            outputs.append({path.relative_to(out): path.read_bytes() for path in files})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
 
 class TestPredict:

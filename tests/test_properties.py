@@ -10,14 +10,16 @@ import contextlib
 import dataclasses
 import io
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windramp import HyperParams, ThresholdSet, WindPowerSeries, load_series, stratified_split, train, write_series
+from windramp import gbrt
 from windramp.cli import main
-from windramp.gbrt import deserialize_model, grow_tree, presort, serialize_model, softmax
+from windramp.gbrt import bin_columns, deserialize_model, grow_tree, serialize_model, softmax
 from windramp.labeling import assign_class, assign_classes
 
 from .conftest import make_dataset, quadrant_dataset
@@ -196,25 +198,34 @@ def _grown_nodes(tree):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     rows=st.integers(1, 3).flatmap(lambda f: st.lists(st.tuples(
-        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=f, max_size=f),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0, 3.0]),
+                 min_size=f, max_size=f),
         st.sampled_from([-1.0, 0.5, 2.0]),
         st.sampled_from([0.5, 1.0]),
     ), min_size=10, max_size=60)),
     max_depth=st.integers(1, 5),
     min_child_hessian=st.sampled_from([0.0, 1.0]),
     gamma=st.sampled_from([0.0, 0.25]),
+    nodes_per_block=st.sampled_from([None, 1, 3]),
 )
-def test_grow_tree_matches_brute_force_tree(rows, max_depth, min_child_hessian, gamma):
-    """Split for split, the level-wise grower builds the tree that
-    depth-first growth over the brute-force split builds. Gradients and
-    hessians are small multiples of 0.5, so every sum is exact in any order
-    and gains, thresholds and leaf weights must match bit for bit."""
+def test_grow_tree_matches_brute_force_tree(rows, max_depth, min_child_hessian, gamma, nodes_per_block):
+    """Split for split, the histogram grower builds the tree that
+    depth-first growth over the brute-force split builds: with at most 256
+    distinct values a column's bins are its values, so the search is exact.
+    Gradients and hessians are small multiples of 0.5, so every sum is exact
+    in any order and gains, thresholds and leaf weights must match bit for
+    bit. Two of the values are adjacent representable numbers. A histogram
+    budget of a few nodes makes wider levels go a block at a time, straight
+    from their rows, in place of sibling subtraction."""
     X = np.array([x for x, _, _ in rows])
     g = np.array([gi for _, gi, _ in rows])
     h = np.array([hi for _, _, hi in rows])
     params = HyperParams(n_estimators=1, max_depth=max_depth, gamma=gamma, min_child_hessian=min_child_hessian)
     values = np.full(len(rows), np.nan)
-    nodes = _grown_nodes(grow_tree(*presort(X), g, h, params, train_leaf_values=values))
+    bins, edges = bin_columns(X)
+    cells = nodes_per_block * bins.shape[0] * (edges.shape[1] + 1) if nodes_per_block else gbrt._HIST_CELLS
+    with mock.patch.object(gbrt, "_HIST_CELLS", cells):
+        nodes = _grown_nodes(grow_tree(bins, edges, g, h, params, train_leaf_values=values))
     assert nodes == brute_force_tree(X, g, h, 1.0, gamma, min_child_hessian, max_depth)
     for x, value in zip(X, values):
         slot = 0
