@@ -1,74 +1,41 @@
 """Reference predictors: persistence and majority class.
 
-Persistence predicts the class just observed: for the window ending at
-t+S it repeats the class of the window that ended at t. Anchors match
-build_dataset's (same lag window requirement), so both predictors score on
-exactly the rows a learned model is scored on.
+Persistence predicts the class just observed, scored on a lag-window
+dataset's own rows: for the row anchored at t it predicts the class of
+w(t) - w(t-S), against the row's target, the class of w(t+S) - w(t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
-from .labeling import HorizonSpec, ThresholdSet, assign_classes
+from .labeling import LabeledDataset, assign_classes
 from .series import WindPowerSeries
 
 
-@dataclass(frozen=True)
-class PersistenceResult:
-    """Aligned (anchor timestamp, true class, predicted class) triples."""
-
-    anchor_ts: np.ndarray
-    true: np.ndarray
-    predicted: np.ndarray
-
-    def restrict(self, anchors: np.ndarray) -> "PersistenceResult":
-        """Rows whose anchor timestamp appears in ``anchors`` (order kept)."""
-        keep = np.isin(self.anchor_ts, anchors)
-        return PersistenceResult(self.anchor_ts[keep], self.true[keep], self.predicted[keep])
-
-
 def persistence_predict(
-    series: WindPowerSeries,
-    horizon: HorizonSpec,
-    thresholds: ThresholdSet,
-) -> PersistenceResult:
-    """Ground-truth persistence benchmark for one horizon.
+    series: WindPowerSeries, dataset: LabeledDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """(true, predicted) classes of persistence on the rows of ``dataset``.
 
-    For each anchor t: true = class of w(t+S) - w(t), predicted = class of
-    the previous observed S-step change, w(t) - w(t-S). Anchors start at
-    max(L-1, S) within each segment so every row has both a full lag window
-    (keeping alignment with build_dataset) and a preceding delta; with
-    L-1 >= S the anchor sets coincide exactly, otherwise persistence drops
-    at most S boundary rows per segment.
+    Each anchor is looked up in the series' ascending timestamps; an anchor
+    the series does not hold is a DataError. A row is kept only when the
+    point S steps back sits exactly S strides earlier, so no prediction
+    reaches across a gap: with L-1 >= S every row is kept, otherwise the
+    first S-(L-1) anchors of each segment are not scored. Rows keep the
+    dataset's order.
     """
-    L, S = horizon.lag_count, horizon.steps_ahead
-    start = max(L - 1, S)
-    anchors: list[np.ndarray] = []
-    true: list[np.ndarray] = []
-    pred: list[np.ndarray] = []
-    for ts, pw in series.segments():
-        n = pw.size
-        if n - S - start < 1:
-            continue
-        # anchor indices start .. n-S-1
-        ahead = pw[start + S:] - pw[start:n - S]
-        behind = pw[start:n - S] - pw[start - S:n - 2 * S]
-        anchors.append(ts[start:n - S])
-        true.append(assign_classes(ahead, thresholds))
-        pred.append(assign_classes(behind, thresholds))
-    if not anchors:
-        raise DataError(
-            f"no segment long enough for persistence with lag_count={L}, steps_ahead={S}"
-        )
-    return PersistenceResult(
-        anchor_ts=np.concatenate(anchors),
-        true=np.concatenate(true),
-        predicted=np.concatenate(pred),
-    )
+    ts, anchors = series.timestamps, dataset.anchor_ts
+    S = dataset.horizon.steps_ahead
+    at = np.minimum(np.searchsorted(ts, anchors), ts.size - 1)
+    missing = ts[at] != anchors
+    if np.any(missing):
+        raise DataError(f"dataset anchor {int(anchors[missing][0])} is not a timestamp of the series")
+    back = at - S
+    keep = (back >= 0) & (ts[back.clip(0)] == anchors - S * series.resolution_s)
+    deltas = series.powers[at[keep]] - series.powers[back[keep]]
+    return dataset.targets[keep], assign_classes(deltas, dataset.thresholds)
 
 
 def majority_predict(train_targets: np.ndarray, n_test: int) -> np.ndarray:

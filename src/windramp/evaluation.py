@@ -1,9 +1,11 @@
 """Splitting, cross-validated grid search, the metric suite, and the
 scoring of a GBRT against the persistence and majority baselines.
 
-Metrics follow the one-vs-rest convention per class: precision, recall, and
-F1 from the confusion matrix, macro-averaged into an overall score, with a
-separate macro F1 over the rare (severe) classes. A class that is never
+Scoring passes around one read-only k x k int64 count array (``confusion``).
+``metrics`` reads every class off it at once: the diagonal over the column
+and row sums gives one-vs-rest precision and recall, their F1 is averaged
+into an overall score, and a separate macro F1 covers the rare (severe)
+classes. A ratio with a zero denominator reads 0, so a class that is never
 predicted and never true gets F1 = 0.
 """
 
@@ -28,51 +30,13 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[a-1, p-1] = instances of true class a predicted as class p."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise DataError(f"confusion matrix must be square, got shape {counts.shape}")
-        if np.any(counts < 0):
-            raise DataError("confusion matrix entries must be >= 0")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def true_positives(self, class_id: int) -> int:
-        return int(self.counts[class_id - 1, class_id - 1])
-
-    def false_positives(self, class_id: int) -> int:
-        c = class_id - 1
-        return int(self.counts[:, c].sum() - self.counts[c, c])
-
-    def false_negatives(self, class_id: int) -> int:
-        c = class_id - 1
-        return int(self.counts[c].sum() - self.counts[c, c])
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
 class MetricsReport:
+    """Scores of one count array; index c-1 of each per-class tuple is class c."""
+
     accuracy: float
-    per_class: dict[int, ClassMetrics]
+    precision: tuple[float, ...]
+    recall: tuple[float, ...]
+    f1: tuple[float, ...]
     overall_f1: float
     rare_f1: float
     rare_classes: tuple[int, ...]
@@ -85,8 +49,8 @@ class MetricsReport:
             "rare_f1": self.rare_f1,
             "rare_classes": list(self.rare_classes),
             "per_class": {
-                str(c): {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-                for c, m in self.per_class.items()
+                str(c): {"precision": p, "recall": r, "f1": f}
+                for c, (p, r, f) in enumerate(zip(self.precision, self.recall, self.f1), start=1)
             },
         }
         if self.horizon is not None:
@@ -94,8 +58,9 @@ class MetricsReport:
         return out
 
 
-def confusion(true: np.ndarray, predicted: np.ndarray, num_classes: int) -> ConfusionMatrix:
-    """Count matrix over 1-based class ids."""
+def confusion(true: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
+    """Read-only k x k int64 counts: [a-1, p-1] = rows of true class a
+    predicted as class p (1-based class ids)."""
     true = np.asarray(true, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
     if true.shape != predicted.shape or true.ndim != 1:
@@ -105,44 +70,44 @@ def confusion(true: np.ndarray, predicted: np.ndarray, num_classes: int) -> Conf
     for name, arr in (("true", true), ("predicted", predicted)):
         if arr.size and (arr.min() < 1 or arr.max() > num_classes):
             raise DataError(f"unknown class id in {name} labels (valid: 1..{num_classes})")
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (true - 1, predicted - 1), 1)
-    return ConfusionMatrix(counts)
+    k = num_classes
+    counts = np.bincount((true - 1) * k + predicted - 1, minlength=k * k).reshape(k, k)
+    counts.setflags(write=False)
+    return counts
 
 
-def _prf(tp: int, fp: int, fn: int) -> ClassMetrics:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ClassMetrics(precision, recall, f1)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
 def metrics(
-    cm: ConfusionMatrix,
+    counts: np.ndarray,
     rare_classes: tuple[int, ...] | None = None,
     horizon: HorizonSpec | None = None,
 ) -> MetricsReport:
     """Accuracy, one-vs-rest precision/recall/F1 per class, macro overall F1,
-    and macro F1 over the rare classes."""
-    if cm.total == 0:
+    and macro F1 over the rare classes, all classes at once."""
+    total = counts.sum()
+    if total == 0:
         raise DataError("cannot compute metrics on an empty confusion matrix")
-    class_ids = range(1, cm.num_classes + 1)
+    k = counts.shape[0]
     if rare_classes is None:
-        rare_classes = (1, cm.num_classes)
+        rare_classes = (1, k)
     rare = tuple(sorted(set(int(c) for c in rare_classes)))
-    if any(c < 1 or c > cm.num_classes for c in rare):
-        raise DataError(f"rare classes {rare} outside 1..{cm.num_classes}")
-    per_class = {
-        c: _prf(cm.true_positives(c), cm.false_positives(c), cm.false_negatives(c))
-        for c in class_ids
-    }
-    overall_f1 = float(np.mean([per_class[c].f1 for c in class_ids]))
-    rare_f1 = float(np.mean([per_class[c].f1 for c in rare])) if rare else 0.0
+    if any(c < 1 or c > k for c in rare):
+        raise DataError(f"rare classes {rare} outside 1..{k}")
+    tp = np.diagonal(counts)
+    precision = _ratio(tp, counts.sum(axis=0))
+    recall = _ratio(tp, counts.sum(axis=1))
+    f1 = _ratio(2 * precision * recall, precision + recall)
     return MetricsReport(
-        accuracy=float(np.trace(cm.counts) / cm.total),
-        per_class=per_class,
-        overall_f1=overall_f1,
-        rare_f1=rare_f1,
+        accuracy=float(np.trace(counts) / total),
+        precision=tuple(precision.tolist()),
+        recall=tuple(recall.tolist()),
+        f1=tuple(f1.tolist()),
+        overall_f1=float(np.mean(f1)),
+        rare_f1=float(np.mean(f1[[c - 1 for c in rare]])) if rare else 0.0,
         rare_classes=rare,
         horizon=horizon,
     )
@@ -303,8 +268,8 @@ def grid_search(
         held[fold_rows] = True
         model = train(dataset.select(np.flatnonzero(~held)), replace(fixed, n_estimators=n_est, max_depth=depth))
         val = dataset.select(fold_rows)
-        cm = confusion(val.targets, model.predict_class(val.features), dataset.num_classes)
-        return metrics(cm, dataset.thresholds.rare_class_ids).overall_f1
+        counts = confusion(val.targets, model.predict_class(val.features), dataset.num_classes)
+        return metrics(counts, dataset.thresholds.rare_class_ids).overall_f1
 
     cores = os.cpu_count() or 1
     threads = min(workers or cores, cores, len(jobs))
@@ -336,8 +301,8 @@ class MultiHorizonReport:
     mean_overall_f1: float
     mean_rare_f1: float
     pooled_accuracy: float
-    model_name: str = ""
-    test_seconds_per_example: float | None = None
+    model_name: str
+    test_seconds_per_example: float
 
     def to_dict(self) -> dict:
         return {
@@ -350,26 +315,6 @@ class MultiHorizonReport:
         }
 
 
-def aggregate_reports(
-    reports_with_cms: list[tuple[MetricsReport, ConfusionMatrix]],
-    model_name: str = "",
-    test_seconds_per_example: float | None = None,
-) -> MultiHorizonReport:
-    if not reports_with_cms:
-        raise DataError("no per-horizon reports to aggregate")
-    reports = [r for r, _ in reports_with_cms]
-    pooled = np.sum([cm.counts for _, cm in reports_with_cms], axis=0)
-    return MultiHorizonReport(
-        per_horizon=tuple(reports),
-        mean_accuracy=float(np.mean([r.accuracy for r in reports])),
-        mean_overall_f1=float(np.mean([r.overall_f1 for r in reports])),
-        mean_rare_f1=float(np.mean([r.rare_f1 for r in reports])),
-        pooled_accuracy=float(np.trace(pooled) / pooled.sum()),
-        model_name=model_name,
-        test_seconds_per_example=test_seconds_per_example,
-    )
-
-
 def evaluate_horizons(
     series: WindPowerSeries,
     items: Iterable[tuple[GbrtModel, LabeledDataset, LabeledDataset]],
@@ -378,18 +323,19 @@ def evaluate_horizons(
 
     ``items`` holds one (model, train part, test part) triple per horizon,
     both parts split from the dataset built from ``series``. Persistence is
-    scored on the test anchors it reaches (all of them when L-1 >= S), and
-    majority predicts the modal class of the train part. Triples are
-    consumed one at a time, so a generator keeps a single horizon in memory.
-    Returns the gbrt, persistence and majority reports, in that order, each
-    with its wall-clock seconds per test example.
+    scored on the test rows whose anchor has an observation S steps back
+    (all of them when L-1 >= S), and majority predicts the modal class of
+    the train part. Triples are consumed one at a time, so a generator keeps
+    a single horizon in memory. Returns the gbrt, persistence and majority
+    reports, in that order, each with its wall-clock seconds per test example.
     """
-    scored = {name: ([], [0.0, 0]) for name in ("gbrt", "persistence", "majority")}
+    scored = {name: ([], [], [0.0, 0]) for name in ("gbrt", "persistence", "majority")}
 
     def score(name, true, predicted, test: LabeledDataset, seconds: float) -> None:
-        cm = confusion(true, predicted, test.num_classes)
-        pairs, clock = scored[name]
-        pairs.append((metrics(cm, test.thresholds.rare_class_ids, test.horizon), cm))
+        counts = confusion(true, predicted, test.num_classes)
+        reports, pooled, clock = scored[name]
+        reports.append(metrics(counts, test.thresholds.rare_class_ids, test.horizon))
+        pooled.append(counts)
         clock[0] += seconds
         clock[1] += len(true)
 
@@ -415,9 +361,8 @@ def evaluate_horizons(
         score("gbrt", test.targets, predicted, test, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        pers = baselines.persistence_predict(series, test.horizon, test.thresholds)
-        pers = pers.restrict(test.anchor_ts)
-        score("persistence", pers.true, pers.predicted, test, time.perf_counter() - t0)
+        true, predicted = baselines.persistence_predict(series, test)
+        score("persistence", true, predicted, test, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
         majority = baselines.majority_predict(train_part.targets, len(test))
@@ -426,9 +371,28 @@ def evaluate_horizons(
     if not seen:
         raise DataError("no (model, train, test) triples given")
     return [
-        aggregate_reports(pairs, name, clock[0] / clock[1] if clock[1] else 0.0)
-        for name, (pairs, clock) in scored.items()
+        _aggregate(reports, pooled, name, clock[0] / clock[1] if clock[1] else 0.0)
+        for name, (reports, pooled, clock) in scored.items()
     ]
+
+
+def _aggregate(
+    reports: list[MetricsReport],
+    counts: list[np.ndarray],
+    model_name: str,
+    test_seconds_per_example: float,
+) -> MultiHorizonReport:
+    """Means of the per-horizon scores, plus accuracy over the summed counts."""
+    pooled = np.sum(counts, axis=0)
+    return MultiHorizonReport(
+        per_horizon=tuple(reports),
+        mean_accuracy=float(np.mean([r.accuracy for r in reports])),
+        mean_overall_f1=float(np.mean([r.overall_f1 for r in reports])),
+        mean_rare_f1=float(np.mean([r.rare_f1 for r in reports])),
+        pooled_accuracy=float(np.trace(pooled) / pooled.sum()),
+        model_name=model_name,
+        test_seconds_per_example=test_seconds_per_example,
+    )
 
 
 def format_report_table(reports: list[MultiHorizonReport]) -> str:
@@ -439,18 +403,16 @@ def format_report_table(reports: list[MultiHorizonReport]) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for rep in reports:
-        ms = "-" if rep.test_seconds_per_example is None else f"{rep.test_seconds_per_example * 1e3:.3f}"
         lines.append(
             f"{rep.model_name:<14}{rep.mean_accuracy:>10.4f}{rep.mean_overall_f1:>14.4f}"
-            f"{rep.mean_rare_f1:>11.4f}{ms:>12}"
+            f"{rep.mean_rare_f1:>11.4f}{rep.test_seconds_per_example * 1e3:>12.3f}"
         )
     lines.append("")
     for rep in reports:
         lines.append(f"{rep.model_name} per horizon (accuracy / overall F1 / rare F1):")
         for r in rep.per_horizon:
-            steps = r.horizon.steps_ahead if r.horizon else "?"
             lines.append(
-                f"  S={steps}: {r.accuracy:.4f} / {r.overall_f1:.4f} / {r.rare_f1:.4f}"
+                f"  S={r.horizon.steps_ahead}: {r.accuracy:.4f} / {r.overall_f1:.4f} / {r.rare_f1:.4f}"
             )
         lines.append(f"  pooled accuracy: {rep.pooled_accuracy:.4f}")
     return "\n".join(lines) + "\n"

@@ -132,21 +132,14 @@ class LabeledDataset:
         )
 
 
-def assign_class(delta_mw: float, thresholds: ThresholdSet) -> int:
-    """Ramp class id for one power change.
+def assign_classes(deltas: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
+    """Ramp class id of each power change.
 
     With a single threshold T: 1 iff x < -T, 2 iff -T <= x < 0, 3 iff
     0 <= x < T, 4 iff x >= T. With m thresholds the same half-open
     convention applies interval-wise: a boundary value lands in the less
     severe class on the down side and the more severe class on the up side.
     """
-    if not math.isfinite(delta_mw):
-        raise DataError(f"non-finite power difference {delta_mw}")
-    return int(np.searchsorted(thresholds.boundaries(), delta_mw, side="right")) + 1
-
-
-def assign_classes(deltas: np.ndarray, thresholds: ThresholdSet) -> np.ndarray:
-    """Vectorized assign_class; same boundary convention."""
     deltas = np.asarray(deltas, dtype=np.float64)
     if not np.all(np.isfinite(deltas)):
         raise DataError("non-finite power difference")

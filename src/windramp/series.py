@@ -41,9 +41,9 @@ class LoadReport:
 class WindPowerSeries:
     """Uniformly sampled wind-power series, possibly in several segments.
 
-    Within each segment timestamps increase with a constant stride of
-    ``resolution_s`` seconds. Arrays are read-only; a constructed series is
-    safe to share across threads.
+    Timestamps increase strictly, and within each segment with a constant
+    stride of ``resolution_s`` seconds. Arrays are read-only; a constructed
+    series is safe to share across threads.
     """
 
     timestamps: np.ndarray
@@ -66,6 +66,8 @@ class WindPowerSeries:
             raise DataError(f"rated_capacity_mw must be finite and > 0, got {self.rated_capacity_mw}")
         bounds = self.segment_bounds or ((0, ts.size),)
         _validate_points(ts, pw, self.rated_capacity_mw)
+        if np.any(np.diff(ts) <= 0):
+            raise DataError("timestamps must be strictly increasing")
         for start, stop in bounds:
             if stop <= start:
                 raise DataError(f"empty segment [{start}, {stop})")
@@ -211,7 +213,6 @@ def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id):
     pw = np.asarray(powers, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
     ts, pw = ts[order], pw[order]
-    _validate_points(ts, pw, rated_capacity_mw)
     bounds = _split_segments(ts, resolution_s)
     series = WindPowerSeries(
         timestamps=ts,

@@ -131,6 +131,13 @@ def brute_force_tree(X, g, h, reg_lambda, gamma, min_child_hessian, max_depth):
     return nodes
 
 
+def naive_class(delta, thresholds_mw):
+    """Ramp class of one power change: one more than the number of class
+    boundaries (-T_m, ..., -T_1, 0, T_1, ..., T_m) at or below it."""
+    boundaries = [-t for t in thresholds_mw] + [0.0] + list(thresholds_mw)
+    return 1 + sum(b <= delta for b in boundaries)
+
+
 def naive_metrics(true, predicted, num_classes):
     """Accuracy and per-class precision/recall/F1 by direct counting."""
     true = list(int(v) for v in true)

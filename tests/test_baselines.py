@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from windramp import DataError, HorizonSpec, ThresholdSet, build_dataset
+from windramp import (
+    DataError,
+    HorizonSpec,
+    HyperParams,
+    LabeledDataset,
+    build_dataset,
+    evaluate_horizons,
+    train,
+)
 from windramp.baselines import majority_predict, persistence_predict
 from windramp.evaluation import confusion, metrics
 
@@ -31,15 +39,19 @@ def naive_persistence(powers, lag_count, steps, threshold):
     return true, pred
 
 
+def score_persistence(wps, steps, lag_count, thresholds):
+    """Persistence on every row of the (steps, lag_count) dataset of ``wps``."""
+    horizon = HorizonSpec(steps_ahead=steps, lag_count=lag_count)
+    return persistence_predict(wps, build_dataset(wps, horizon, thresholds))
+
+
 class TestPersistence:
     def test_constant_series_perfect(self, single_threshold):
         wps = make_series([7.0] * 12)
-        horizon = HorizonSpec(steps_ahead=1, lag_count=2)
-        result = persistence_predict(wps, horizon, single_threshold)
-        assert np.all(result.true == 3)
-        assert np.all(result.predicted == 3)
-        cm = confusion(result.true, result.predicted, 4)
-        report = metrics(cm, (1, 4))
+        true, pred = score_persistence(wps, 1, 2, single_threshold)
+        assert np.all(true == 3)
+        assert np.all(pred == 3)
+        report = metrics(confusion(true, pred, 4), (1, 4))
         assert report.accuracy == 1.0
         assert report.rare_f1 == 0.0  # no rare events exist; convention value
 
@@ -48,22 +60,21 @@ class TestPersistence:
         # is wrong about every severe event
         powers = np.array([0.0, 11.0] * 4)
         wps = make_series(powers)
-        horizon = HorizonSpec(steps_ahead=1, lag_count=1)
-        result = persistence_predict(wps, horizon, single_threshold)
-        assert set(np.unique(result.true)) == {1, 4}
-        assert np.all(result.true != result.predicted)
-        report = metrics(confusion(result.true, result.predicted, 4), (1, 4))
-        assert report.per_class[1].recall == 0.0
-        assert report.per_class[4].recall == 0.0
+        true, pred = score_persistence(wps, 1, 1, single_threshold)
+        assert set(np.unique(true)) == {1, 4}
+        assert np.all(true != pred)
+        report = metrics(confusion(true, pred, 4), (1, 4))
+        assert report.recall[0] == 0.0
+        assert report.recall[3] == 0.0
         assert report.rare_f1 == 0.0
 
     def test_hand_trace_eight_points(self, single_threshold):
         powers = np.array([0.0, 11.0, 0.0, 11.0, 0.0, 11.0, 0.0, 11.0])
         wps = make_series(powers)
-        result = persistence_predict(wps, HorizonSpec(steps_ahead=1, lag_count=1), single_threshold)
+        true, pred = score_persistence(wps, 1, 1, single_threshold)
         # anchors t=1..6; true = class of delta ending t+1, pred = delta ending t
-        assert np.array_equal(result.true, [1, 4, 1, 4, 1, 4])
-        assert np.array_equal(result.predicted, [4, 1, 4, 1, 4, 1])
+        assert np.array_equal(true, [1, 4, 1, 4, 1, 4])
+        assert np.array_equal(pred, [4, 1, 4, 1, 4, 1])
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     @pytest.mark.parametrize("lag_count", [1, 4, 8])
@@ -71,12 +82,11 @@ class TestPersistence:
         rng = np.random.default_rng(steps * 10 + lag_count)
         walk = np.clip(np.cumsum(rng.normal(0, 6.0, size=300)) + 50, 0, 100)
         wps = make_series(walk, capacity=100.0)
-        horizon = HorizonSpec(steps_ahead=steps, lag_count=lag_count)
-        result = persistence_predict(wps, horizon, single_threshold)
-        true, pred = naive_persistence(walk.tolist(), lag_count, steps, 10.0)
-        assert np.array_equal(result.true, true)
-        assert np.array_equal(result.predicted, pred)
-        acc = metrics(confusion(result.true, result.predicted, 4), (1, 4)).accuracy
+        true, pred = score_persistence(wps, steps, lag_count, single_threshold)
+        want_true, want_pred = naive_persistence(walk.tolist(), lag_count, steps, 10.0)
+        assert np.array_equal(true, want_true)
+        assert np.array_equal(pred, want_pred)
+        acc = metrics(confusion(true, pred, 4), (1, 4)).accuracy
         assert 0.0 < acc < 1.0
 
     def test_alignment_with_build_dataset(self, single_threshold):
@@ -84,27 +94,55 @@ class TestPersistence:
         walk = np.clip(np.cumsum(rng.normal(0, 4.0, size=120)) + 40, 0, 80)
         wps = make_series(walk, capacity=80.0)
         for steps, lag_count in [(1, 8), (2, 8), (6, 3)]:
-            horizon = HorizonSpec(steps_ahead=steps, lag_count=lag_count)
-            ds = build_dataset(wps, horizon, single_threshold)
-            result = persistence_predict(wps, horizon, single_threshold)
-            # persistence never has more anchors, and misses at most S per segment
-            assert len(ds) - result.anchor_ts.size <= steps
-            # overlapping anchors carry identical true classes
-            common = np.isin(ds.anchor_ts, result.anchor_ts)
-            assert np.array_equal(ds.targets[common], result.true)
+            ds = build_dataset(wps, HorizonSpec(steps_ahead=steps, lag_count=lag_count), single_threshold)
+            true, _ = persistence_predict(wps, ds)
+            # only the first S-(L-1) anchors lack an observation S steps back
+            unscored = max(0, steps - (lag_count - 1))
+            assert np.array_equal(true, ds.targets[unscored:])
+
+    @pytest.mark.parametrize("steps, lag_count", [(1, 8), (6, 3), (3, 1)])
+    def test_gapped_series_matches_naive_per_segment(self, steps, lag_count, single_threshold):
+        rng = np.random.default_rng(steps * 10 + lag_count)
+        walk = np.clip(np.cumsum(rng.normal(0, 6.0, size=150)) + 50, 0, 100)
+        gaps_at = (40, 95)
+        wps = make_series(walk, capacity=100.0, gaps_at=gaps_at)
+        true, pred = score_persistence(wps, steps, lag_count, single_threshold)
+        want_true, want_pred = [], []
+        for segment in np.split(walk, gaps_at):
+            seg_true, seg_pred = naive_persistence(segment.tolist(), lag_count, steps, 10.0)
+            want_true += seg_true
+            want_pred += seg_pred
+        assert np.array_equal(true, want_true)
+        assert np.array_equal(pred, want_pred)
 
     def test_restrict_to_anchor_subset(self, single_threshold):
         wps = make_series(np.linspace(0, 19, 20))
-        result = persistence_predict(wps, HorizonSpec(steps_ahead=1, lag_count=2), single_threshold)
-        subset = result.anchor_ts[::2]
-        restricted = result.restrict(subset)
-        assert np.array_equal(restricted.anchor_ts, subset)
-        assert restricted.true.size == subset.size
+        ds = build_dataset(wps, HorizonSpec(steps_ahead=1, lag_count=2), single_threshold)
+        full_true, full_pred = persistence_predict(wps, ds)
+        subset = ds.select(np.arange(0, len(ds), 2))
+        true, pred = persistence_predict(wps, subset)
+        assert np.array_equal(true, subset.targets)
+        assert np.array_equal(pred, full_pred[::2])
+
+    def test_anchor_not_in_series_rejected(self, single_threshold):
+        wps = make_series(np.linspace(0, 19, 20))
+        ds = build_dataset(wps, HorizonSpec(steps_ahead=1, lag_count=2), single_threshold)
+        for shift in (1, 10**6):
+            moved = LabeledDataset(ds.features, ds.targets, ds.horizon, ds.thresholds, ds.anchor_ts + shift)
+            with pytest.raises(DataError, match="not a timestamp"):
+                persistence_predict(wps, moved)
 
     def test_too_short_series(self, single_threshold):
-        wps = make_series([1.0, 2.0])
-        with pytest.raises(DataError, match="no segment"):
-            persistence_predict(wps, HorizonSpec(steps_ahead=2, lag_count=2), single_threshold)
+        # three 4-point segments, S=2, L=1: each segment's two anchors sit
+        # fewer than S steps from its start, so persistence scores no row
+        wps = make_series([5.0, 1.0, 9.0, 0.0] * 3, gaps_at=(4, 8))
+        ds = build_dataset(wps, HorizonSpec(steps_ahead=2, lag_count=1), single_threshold)
+        assert len(ds) == 6
+        true, pred = persistence_predict(wps, ds)
+        assert true.size == pred.size == 0
+        model = train(ds, HyperParams(n_estimators=1, max_depth=1))
+        with pytest.raises(DataError, match="empty"):
+            evaluate_horizons(wps, [(model, ds, ds)])
 
 
 class TestMajority:

@@ -2,29 +2,36 @@ import numpy as np
 import pytest
 
 from windramp import DataError, HorizonSpec, ThresholdSet, build_dataset
-from windramp.labeling import assign_class, assign_classes, class_distribution
+from windramp.labeling import assign_classes, class_distribution
 
 from .conftest import make_dataset, make_series
+from .oracles import naive_class
+
+
+def assign_one(delta, thresholds):
+    """Class of a single power change, through a one-element array."""
+    (cls,) = assign_classes(np.array([delta]), thresholds)
+    return int(cls)
 
 
 class TestAssignClass:
     def test_severe_down(self, single_threshold):
-        assert assign_class(-12.0, single_threshold) == 1
+        assert assign_one(-12.0, single_threshold) == 1
 
     def test_mild_up(self, single_threshold):
-        assert assign_class(3.0, single_threshold) == 3
+        assert assign_one(3.0, single_threshold) == 3
 
     def test_boundaries(self, single_threshold):
         # half-open convention: -T -> 2, 0 -> 3, +T -> 4
-        assert assign_class(-10.0, single_threshold) == 2
-        assert assign_class(0.0, single_threshold) == 3
-        assert assign_class(10.0, single_threshold) == 4
+        assert assign_one(-10.0, single_threshold) == 2
+        assert assign_one(0.0, single_threshold) == 3
+        assert assign_one(10.0, single_threshold) == 4
 
     def test_non_finite_rejected(self, single_threshold):
         with pytest.raises(DataError):
-            assign_class(float("nan"), single_threshold)
+            assign_one(float("nan"), single_threshold)
         with pytest.raises(DataError):
-            assign_class(float("inf"), single_threshold)
+            assign_one(float("inf"), single_threshold)
 
     def test_partition_dense_grid(self, single_threshold):
         # every finite x maps to exactly one class; grid includes -T, 0, +T
@@ -34,7 +41,7 @@ class TestAssignClass:
         ])
         classes = assign_classes(grid, single_threshold)
         assert classes.min() >= 1 and classes.max() <= 4
-        scalar = np.array([assign_class(float(x), single_threshold) for x in grid])
+        scalar = np.array([naive_class(float(x), single_threshold.thresholds_mw) for x in grid])
         assert np.array_equal(classes, scalar)
 
     def test_monotone_in_x(self, single_threshold):
@@ -48,7 +55,7 @@ class TestAssignClass:
         expected = {-12.0: 1, -10.0: 2, -7.0: 2, -5.0: 3, -1.0: 3, 0.0: 4, 4.9: 4,
                     5.0: 5, 9.9: 5, 10.0: 6, 11.0: 6}
         for x, want in expected.items():
-            assert assign_class(x, ts) == want, x
+            assert assign_one(x, ts) == want, x
 
     def test_multi_threshold_partition_monotone(self):
         ts = ThresholdSet((2.0, 5.0, 11.0))

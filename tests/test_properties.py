@@ -20,10 +20,10 @@ from windramp import HyperParams, ThresholdSet, WindPowerSeries, load_series, st
 from windramp import gbrt
 from windramp.cli import main
 from windramp.gbrt import bin_columns, deserialize_model, grow_tree, serialize_model, softmax
-from windramp.labeling import assign_class, assign_classes
+from windramp.labeling import assign_classes
 
 from .conftest import make_dataset, quadrant_dataset
-from .oracles import brute_force_tree, document_scores
+from .oracles import brute_force_tree, document_scores, naive_class
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -45,7 +45,7 @@ def test_assign_classes_matches_assign_class(thresholds, data):
     )
     deltas = data.draw(st.lists(st.one_of(finite, near), min_size=1, max_size=40))
     vector = assign_classes(np.array(deltas), thresholds)
-    assert vector.tolist() == [assign_class(d, thresholds) for d in deltas]
+    assert vector.tolist() == [naive_class(d, thresholds.thresholds_mw) for d in deltas]
     assert all(1 <= c <= thresholds.num_classes for c in vector)
 
 

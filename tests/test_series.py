@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from windramp import ColumnSchema, DataError, generate_series, load_series, write_series
+from windramp import ColumnSchema, DataError, WindPowerSeries, generate_series, load_series, write_series
 
 
 def load_text(tmp_path, text, schema=None):
@@ -51,6 +51,25 @@ def test_duplicate_timestamps_listed(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n600,2.0\n1200,3.0\n"
     with pytest.raises(DataError, match="duplicate timestamps.*600"):
         load_text(tmp_path, text)
+
+
+def test_duplicates_reported_before_point_faults(tmp_path):
+    # timestamps are checked while segmenting, each point once on construction
+    text = "timestamp,power_mw\n600,1.0\n600,-2.0\n1200,3.0\n"
+    with pytest.raises(DataError, match="duplicate timestamps.*600"):
+        load_text(tmp_path, text)
+
+
+def test_descending_timestamps_rejected():
+    # one point per segment, so no segment stride check can catch the order
+    with pytest.raises(DataError, match="strictly increasing"):
+        WindPowerSeries(
+            timestamps=np.array([1800, 1200, 600]),
+            powers=np.array([1.0, 2.0, 3.0]),
+            resolution_s=600,
+            rated_capacity_mw=20.0,
+            segment_bounds=((0, 1), (1, 2), (2, 3)),
+        )
 
 
 def test_malformed_row_reports_line_number(tmp_path):
