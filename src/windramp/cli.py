@@ -6,10 +6,12 @@ checks each value once there, whichever source it came from; the commands
 read the values as checked. Every run writes the resolved configuration next
 to its outputs. ``train`` and ``evaluate`` rebuild each horizon's labeled dataset
 from the series in memory; ``prepare`` writes only the class-distribution
-report. ``train`` records each split as (seed, test fraction, dataset
-sha256) beside the model, and ``evaluate`` refuses to score a model whose
-series has changed since. Exit codes: 0 success, 2 config error, 3 data
-error, 4 training or model error. Errors print one JSON line to stderr.
+report. ``train`` runs every horizon's grid and final fits on one pool of
+``--workers`` processes, then writes the outputs in horizon order. It
+records each split as (seed, test fraction, dataset sha256) beside the
+model, and ``evaluate`` refuses to score a model whose series has changed
+since. Exit codes: 0 success, 2 config error, 3 data error, 4 training or
+model error. Errors print one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -302,12 +304,16 @@ def cmd_train(cfg: dict) -> int:
     )
     wps, _ = _load_series(cfg)
     thresholds = _thresholds(cfg)
+    # keep only each horizon's train part and dataset digest, not the datasets
+    parts, digests = [], []
     for s in cfg["horizons"]:
         ds = _build_dataset(cfg, wps, thresholds, s)
-        train_ds, _ = evaluation.stratified_split(ds, cfg["test_fraction"], seed)
-        params = fixed
+        parts.append(evaluation.stratified_split(ds, cfg["test_fraction"], seed)[0])
+        digests.append(_dataset_sha256(ds))
+        del ds
+    fits = evaluation.fit_horizons(parts, grid, fixed, seed=seed, workers=cfg["workers"])
+    for s, train_ds, digest, (params, table, model) in zip(cfg["horizons"], parts, digests, fits):
         if grid:
-            params, table = evaluation.grid_search(train_ds, grid, fixed, seed=seed, workers=cfg["workers"])
             (dirs["reports"] / f"grid_horizon_{s}.json").write_text(
                 json.dumps(
                     {
@@ -320,15 +326,10 @@ def cmd_train(cfg: dict) -> int:
                 + "\n",
                 encoding="utf-8",
             )
-        model = gbrt.train(train_ds, params)
         gbrt.save_model(model, _model_path(dirs, s))
         _split_path(dirs, s).write_text(
             json.dumps(
-                {
-                    "seed": seed,
-                    "test_fraction": cfg["test_fraction"],
-                    "dataset_sha256": _dataset_sha256(ds),
-                },
+                {"seed": seed, "test_fraction": cfg["test_fraction"], "dataset_sha256": digest},
                 sort_keys=True,
             ),
             encoding="utf-8",
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--test-fraction", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int,
-                       help="threads running grid-search fits at once (default 1); "
+                       help="processes running grid and final fits at once (default 1); "
                             "outputs do not depend on it")
         p.add_argument("--grid", help="grid spec N_ESTSxDEPTHS[xFOLDS] or 'default'")
         p.add_argument("--out", help="output directory")

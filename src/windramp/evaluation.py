@@ -1,5 +1,7 @@
-"""Splitting, cross-validated grid search, the metric suite, and the
-scoring of a GBRT against the persistence and majority baselines.
+"""Splitting, every horizon's fits (cross-validated grid search, then the
+final model) on one process pool, the metric suite, and the scoring of a
+GBRT against the persistence and majority baselines. The pool runs
+processes, not threads: trees grow by short numpy calls that hold the GIL.
 
 Scoring passes around one read-only k x k int64 count array (``confusion``).
 ``metrics`` reads every class off it at once: the diagonal over the column
@@ -11,17 +13,20 @@ predicted and never true gets F1 = 0.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from . import baselines
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingError
 from .gbrt import GbrtModel, HyperParams, train
 from .labeling import HorizonSpec, LabeledDataset
 from .series import WindPowerSeries
@@ -239,51 +244,88 @@ class GridCell:
         }
 
 
-def grid_search(
-    dataset: LabeledDataset,
-    grid: ParamGrid,
+def _fit(part: LabeledDataset, params: HyperParams) -> GbrtModel:
+    # a pool pickles this function by name; ``train`` itself may be wrapped
+    # in a closure (a tracer does that), which cannot be pickled
+    return train(part, params)
+
+
+def _fit_and_score(part: LabeledDataset, params: HyperParams, fold_rows: np.ndarray) -> float:
+    """Validation macro-F1 on ``fold_rows`` of a model fit on the other rows."""
+    held = np.zeros(len(part), dtype=bool)
+    held[fold_rows] = True
+    model = train(part.select(np.flatnonzero(~held)), params)
+    val = part.select(fold_rows)
+    counts = confusion(val.targets, model.predict_class(val.features), part.num_classes)
+    return metrics(counts, part.thresholds.rare_class_ids).overall_f1
+
+
+@contextmanager
+def _mapper(processes: int):
+    """``map`` over a pool of ``processes`` worker processes, or the builtin
+    ``map`` (no process, no thread) when there is one. A job that raises
+    cancels the jobs not yet started; a worker that dies is a TrainingError."""
+    if processes <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        try:
+            yield pool.map
+        except BrokenProcessPool as exc:
+            raise TrainingError(f"a training worker process died: {exc}") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def fit_horizons(
+    parts: list[LabeledDataset],
+    grid: ParamGrid | None,
     fixed: HyperParams | None = None,
     seed: int = 0,
     workers: int | None = 1,
-) -> tuple[HyperParams, list[GridCell]]:
-    """Evaluate every grid combination with stratified k-fold CV.
+) -> list[tuple[HyperParams, list[GridCell], GbrtModel]]:
+    """Select hyperparameters for each train part and fit its final model.
 
-    The selection criterion is mean validation macro-F1; ties break toward
-    the smaller n_estimators, then the smaller max_depth. Returns the
-    winning HyperParams (the fixed params with the winning pair substituted)
-    plus the full CV table. The (cell, fold) fits run on up to ``workers``
-    threads (None = all cores); each fit is independent and results are
-    collected in job order, so the output does not depend on ``workers``.
+    With a grid, every (n_estimators, max_depth) pair is scored on each part
+    with stratified k-fold CV. The selection criterion is mean validation
+    macro-F1; ties break toward the smaller n_estimators, then the smaller
+    max_depth. Each part's final model is then fit with the fixed params
+    with its winning pair substituted (the fixed params as given when
+    ``grid`` is None, with an empty table). Returns one (params, CV table,
+    model) per part.
+
+    Every part's (cell, fold) fits, and then every part's final fit, run on
+    one pool of up to ``workers`` processes (None = all cores). Each fit is
+    independent and results come back in job order, so the output does not
+    depend on ``workers``.
     """
     fixed = fixed or HyperParams()
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    folds = stratified_folds(dataset.targets, grid.folds, seed)
-    cells = [(n_est, depth) for n_est in grid.n_estimators_choices for depth in grid.max_depth_choices]
-    jobs = [(cell, fold_rows) for cell in cells for fold_rows in folds]
-
-    def fit_and_score(job) -> float:
-        (n_est, depth), fold_rows = job
-        held = np.zeros(len(dataset), dtype=bool)
-        held[fold_rows] = True
-        model = train(dataset.select(np.flatnonzero(~held)), replace(fixed, n_estimators=n_est, max_depth=depth))
-        val = dataset.select(fold_rows)
-        counts = confusion(val.targets, model.predict_class(val.features), dataset.num_classes)
-        return metrics(counts, dataset.thresholds.rare_class_ids).overall_f1
-
+    cells = [] if grid is None else [
+        replace(fixed, n_estimators=n_est, max_depth=depth)
+        for n_est in grid.n_estimators_choices for depth in grid.max_depth_choices
+    ]
+    cv_jobs = []
+    for part in parts:
+        folds = stratified_folds(part.targets, grid.folds, seed) if cells else []
+        cv_jobs += [(part, params, fold_rows) for params in cells for fold_rows in folds]
     cores = os.cpu_count() or 1
-    threads = min(workers or cores, cores, len(jobs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(fit_and_score, jobs))
-    else:
-        scores = [fit_and_score(job) for job in jobs]
-    table = []
-    for i, (n_est, depth) in enumerate(cells):
-        fold_scores = tuple(scores[i * len(folds):(i + 1) * len(folds)])
-        table.append(GridCell(n_est, depth, fold_scores, float(np.mean(fold_scores))))
-    best = max(table, key=lambda cell: (cell.mean_score, -cell.n_estimators, -cell.max_depth))
-    return replace(fixed, n_estimators=best.n_estimators, max_depth=best.max_depth), table
+    with _mapper(min(workers or cores, cores, max(len(cv_jobs), len(parts)))) as run:
+        scores = iter(list(run(_fit_and_score, *zip(*cv_jobs))) if cv_jobs else [])
+        tables, chosen = [], []
+        for _ in parts:
+            table = []
+            for params in cells:
+                fold_scores = tuple(itertools.islice(scores, grid.folds))
+                mean = float(np.mean(fold_scores))
+                table.append(GridCell(params.n_estimators, params.max_depth, fold_scores, mean))
+            tables.append(table)
+            best = max(table, key=lambda cell: (cell.mean_score, -cell.n_estimators, -cell.max_depth), default=None)
+            chosen.append(fixed if best is None else cells[table.index(best)])
+        models = list(run(_fit, parts, chosen))
+    return list(zip(chosen, tables, models))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ the current scores. Trees grow level by level on feature columns cut into
 at most 256 bins once per training run: one ``np.bincount`` per feature and
 sum builds the histograms of all the level's nodes, and one vectorized pass
 searches them. Training is serial and deterministic;
-``evaluation.grid_search`` runs whole fits in parallel.
+``evaluation.fit_horizons`` runs whole fits in parallel processes.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
 stacked, each in complete binary layout of depth D, the depth of its
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -303,6 +303,10 @@ class GbrtModel:
             array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a model unpickled from a worker is read-only too
+        return GbrtModel, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_rounds(self) -> int:

@@ -41,9 +41,10 @@ class LoadReport:
 class WindPowerSeries:
     """Uniformly sampled wind-power series, possibly in several segments.
 
-    Timestamps increase strictly, and within each segment with a constant
-    stride of ``resolution_s`` seconds. Arrays are read-only; a constructed
-    series is safe to share across threads.
+    Timestamps increase strictly, by ``resolution_s`` seconds within a
+    segment; a longer stride starts the next segment. ``segment_bounds`` is
+    derived from the timestamps; one that is given must equal it. Arrays are
+    read-only; a constructed series is safe to share across threads.
     """
 
     timestamps: np.ndarray
@@ -64,17 +65,14 @@ class WindPowerSeries:
             raise DataError(f"resolution_s must be >= 1, got {self.resolution_s}")
         if not (self.rated_capacity_mw > 0 and math.isfinite(self.rated_capacity_mw)):
             raise DataError(f"rated_capacity_mw must be finite and > 0, got {self.rated_capacity_mw}")
-        bounds = self.segment_bounds or ((0, ts.size),)
+        bounds = _split_segments(ts, self.resolution_s)
+        given = tuple((int(start), int(stop)) for start, stop in self.segment_bounds)
+        if given and given != bounds:
+            raise DataError(
+                f"segment_bounds {given} differ from the segments the timestamps give, {bounds}: "
+                "a segment ends exactly where the stride exceeds resolution_s"
+            )
         _validate_points(ts, pw, self.rated_capacity_mw)
-        if np.any(np.diff(ts) <= 0):
-            raise DataError("timestamps must be strictly increasing")
-        for start, stop in bounds:
-            if stop <= start:
-                raise DataError(f"empty segment [{start}, {stop})")
-            seg = ts[start:stop]
-            strides = np.diff(seg)
-            if strides.size and not np.all(strides == self.resolution_s):
-                raise DataError("segment stride does not match resolution_s")
         ts.setflags(write=False)
         pw.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -133,11 +131,14 @@ def _parse_timestamp(text: str, line_no: int) -> int:
 
 
 def _split_segments(ts: np.ndarray, resolution_s: int) -> tuple[tuple[int, int], ...]:
+    """[start, stop) of each run of timestamps ``resolution_s`` apart."""
     deltas = np.diff(ts)
     if np.any(deltas == 0):
         dups = np.unique(ts[1:][deltas == 0])[:10].tolist()
         raise DataError(f"duplicate timestamps: {dups}")
-    short = (deltas > 0) & (deltas < resolution_s)
+    if np.any(deltas < 0):
+        raise DataError("timestamps must be strictly increasing")
+    short = deltas < resolution_s
     if np.any(short):
         i = int(np.flatnonzero(short)[0])
         raise DataError(
@@ -212,22 +213,15 @@ def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id):
     ts = np.asarray(timestamps, dtype=np.int64)
     pw = np.asarray(powers, dtype=np.float64)
     order = np.argsort(ts, kind="stable")
-    ts, pw = ts[order], pw[order]
-    bounds = _split_segments(ts, resolution_s)
     series = WindPowerSeries(
-        timestamps=ts,
-        powers=pw,
+        timestamps=ts[order],
+        powers=pw[order],
         resolution_s=resolution_s,
         rated_capacity_mw=rated_capacity_mw,
         site_id=site_id,
-        segment_bounds=bounds,
     )
-    report = LoadReport(
-        rows_read=rows_read,
-        rows_dropped=rows_dropped,
-        gaps=len(bounds) - 1,
-        segments=len(bounds),
-    )
+    segments = len(series.segment_bounds)
+    report = LoadReport(rows_read=rows_read, rows_dropped=rows_dropped, gaps=segments - 1, segments=segments)
     return series, report
 
 

@@ -81,17 +81,30 @@ class TestPipeline:
         assert error_line(capsys)["error"] == kind
 
     def test_evaluation_identical_across_workers(self, workspace, tmp_path):
-        """Every model file and the evaluation report are byte for byte the
-        same whether the grid fits run on one thread or two."""
+        """Every model and split file, every grid report and the evaluation
+        report are byte for byte the same whether the fits of three horizons
+        run in this process or on two worker processes."""
         outputs = []
         for workers in (1, 2):
             out = tmp_path / f"out_w{workers}"
             for stage in ("train", "evaluate"):
-                argv = workspace["argv"](stage, "--workers", str(workers), "--grid", "2,3x1,2x2", out_dir=out)
+                argv = workspace["argv"](stage, "--workers", str(workers), "--grid", "2,3x1,2x2",
+                                         "--horizons", "1,3,6", out_dir=out)
                 assert main(argv) == 0
-            files = [out / "reports" / "evaluation.json", *sorted((out / "models").glob("*.model.json"))]
+            files = [out / "reports" / "evaluation.json", *sorted((out / "reports").glob("grid_horizon_*.json")),
+                     *sorted((out / "models").glob("*.json"))]
             outputs.append({path.relative_to(out): path.read_bytes() for path in files})
-        assert len(outputs[0]) == 3
+        assert len(outputs[0]) == 1 + 3 + 6
+        assert outputs[0] == outputs[1]
+
+    def test_no_grid_train_identical_across_workers(self, workspace, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"out_w{workers}"
+            assert main(workspace["argv"]("train", "--workers", str(workers), "--horizons", "1,3,6", out_dir=out)) == 0
+            assert not list((out / "reports").glob("grid_horizon_*.json"))
+            outputs.append({path.name: path.read_bytes() for path in sorted((out / "models").glob("*.json"))})
+        assert len(outputs[0]) == 6
         assert outputs[0] == outputs[1]
 
 

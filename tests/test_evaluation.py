@@ -9,12 +9,13 @@ from windramp import (
     ThresholdSet,
     build_dataset,
     evaluate_horizons,
+    fit_horizons,
     generate_series,
-    grid_search,
     stratified_split,
     train,
 )
 from windramp.evaluation import _aggregate, confusion, metrics, stratified_folds
+from windramp.gbrt import serialize_model
 
 from .conftest import make_dataset
 from .oracles import naive_metrics
@@ -196,7 +197,7 @@ class TestGridSearch:
         y = 1 + (X[:, 0] > 0).astype(int) + 2 * (X[:, 1] > 0).astype(int)
         ds = make_dataset(X, y)
         grid = ParamGrid(n_estimators_choices=(2, 3, 4), max_depth_choices=(1, 2, 3), folds=3)
-        best, table = grid_search(ds, grid, HyperParams(n_estimators=2, min_child_hessian=0.0), seed=0)
+        best, table, _ = fit_horizons([ds], grid, HyperParams(n_estimators=2, min_child_hessian=0.0), seed=0)[0]
         assert len(table) == 9
         assert all(len(cell.fold_scores) == 3 for cell in table)
         combos = {(c.n_estimators, c.max_depth) for c in table}
@@ -205,7 +206,7 @@ class TestGridSearch:
     def test_single_combination(self):
         ds = self._xor_dataset(120)
         grid = ParamGrid(n_estimators_choices=(5,), max_depth_choices=(2,), folds=2)
-        best, table = grid_search(ds, grid, HyperParams(min_child_hessian=0.0), seed=0)
+        best, table, _ = fit_horizons([ds], grid, HyperParams(min_child_hessian=0.0), seed=0)[0]
         assert (best.n_estimators, best.max_depth) == (5, 2)
         assert len(table) == 1
 
@@ -222,7 +223,7 @@ class TestGridSearch:
     def test_xor_fixture_needs_depth_two(self):
         ds = self._xor_dataset(160)
         grid = ParamGrid(n_estimators_choices=(20,), max_depth_choices=(1, 2), folds=3)
-        best, table = grid_search(ds, grid, HyperParams(min_child_hessian=0.0), seed=0)
+        best, table, _ = fit_horizons([ds], grid, HyperParams(min_child_hessian=0.0), seed=0)[0]
         assert best.max_depth == 2
         by_depth = {c.max_depth: c.mean_score for c in table}
         # macro-F1 over 4 ids caps at 0.5 here (two ids never occur); depth 2
@@ -230,11 +231,25 @@ class TestGridSearch:
         assert by_depth[2] > 0.45
         assert by_depth[2] > by_depth[1] + 0.1
 
+    def test_final_model_fit_with_the_winning_params(self):
+        ds = self._xor_dataset(120)
+        grid = ParamGrid(n_estimators_choices=(3, 5), max_depth_choices=(1, 2), folds=2)
+        best, _, model = fit_horizons([ds], grid, HyperParams(min_child_hessian=0.0), seed=0)[0]
+        assert model.hyperparams == best
+        assert serialize_model(model) == serialize_model(train(ds, best))
+
+    def test_no_grid_fits_the_fixed_params(self):
+        parts = [self._xor_dataset(60, seed) for seed in (1, 2)]
+        fixed = HyperParams(n_estimators=3, max_depth=2, min_child_hessian=0.0)
+        fits = fit_horizons(parts, None, fixed)
+        assert [(params, table) for params, table, _ in fits] == [(fixed, []), (fixed, [])]
+        assert [serialize_model(model) for _, _, model in fits] == [serialize_model(train(p, fixed)) for p in parts]
+
     def test_tie_break_smaller_first(self):
         # all-identical scores force the documented tie-break
         ds = self._xor_dataset(60)
         grid = ParamGrid(n_estimators_choices=(3, 2), max_depth_choices=(4, 3), folds=2)
-        best, table = grid_search(ds, grid, HyperParams(min_child_hessian=0.0), seed=0)
+        best, table, _ = fit_horizons([ds], grid, HyperParams(min_child_hessian=0.0), seed=0)[0]
         scores = {(\
             c.n_estimators, c.max_depth): c.mean_score for c in table}
         top = max(scores.values())

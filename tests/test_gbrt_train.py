@@ -1,9 +1,21 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from windramp import ConfigError, DataError, HyperParams, ModelFormatError, ParamGrid, TrainingError, grid_search, train
+from windramp import (
+    ConfigError,
+    DataError,
+    HyperParams,
+    ModelFormatError,
+    ParamGrid,
+    TrainingError,
+    evaluation,
+    fit_horizons,
+    train,
+)
 from windramp.gbrt import deserialize_model, serialize_model
 
 from .conftest import make_dataset, quadrant_dataset
@@ -90,27 +102,76 @@ class TestTrain:
         assert np.allclose(model.base_score, expected, atol=1e-15)
 
 
+def grid_parts():
+    """Three train parts whose duplicate feature values force tie-breaks,
+    and a grid of 2 x 2 cells with 3 folds."""
+    parts = []
+    for seed in (8, 9, 10):
+        rng = np.random.default_rng(seed)
+        n = 600
+        X = rng.normal(size=(n, 6)).round(3)
+        y = 1 + (rng.random(n) < 0.5) + 2 * (X[:, 0] > 0)
+        parts.append(make_dataset(X * 2, y.astype(int)))
+    return parts, ParamGrid(n_estimators_choices=(2, 3), max_depth_choices=(1, 3), folds=3)
+
+
+def fits_as_bytes(fits) -> list:
+    """Each part's (winning params, CV table JSON, final model document)."""
+    return [(best, json.dumps([cell.to_dict() for cell in table]), serialize_model(model))
+            for best, table, model in fits]
+
+
 class TestDeterminism:
     def test_worker_counts_give_identical_bytes(self):
-        rng = np.random.default_rng(8)
-        n = 600
-        X = rng.normal(size=(n, 6)).round(3)  # duplicates force tie-breaks
-        y = 1 + (rng.random(n) < 0.5) + 2 * (X[:, 0] > 0)
-        ds = make_dataset(X * 2, y.astype(int))
-        grid = ParamGrid(n_estimators_choices=(2, 3), max_depth_choices=(1, 3), folds=3)
-        results = {}
-        for w in (1, 2, 8):
-            best, table = grid_search(ds, grid, small_params(), seed=3, workers=w)
-            results[w] = (best, json.dumps([cell.to_dict() for cell in table]))
+        parts, grid = grid_parts()
+        # 8 is capped at the core count
+        results = {w: fits_as_bytes(fit_horizons(parts, grid, small_params(), seed=3, workers=w)) for w in (1, 2, 8)}
         assert results[1] == results[2] == results[8]
-        cells = json.loads(results[1][1])
-        assert len(cells) == 4 and all(len(cell["fold_scores"]) == 3 for cell in cells)
+        assert len(results[1]) == 3
+        for _, table, _ in results[1]:
+            cells = json.loads(table)
+            assert len(cells) == 4 and all(len(cell["fold_scores"]) == 3 for cell in cells)
 
     def test_repeat_run_bit_identical(self):
         ds = quadrant_dataset(n=80, seed=5)
         a = serialize_model(train(ds, small_params(n_estimators=4)))
         b = serialize_model(train(ds, small_params(n_estimators=4)))
         assert a == b
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one core the fits run in this process")
+class TestPool:
+    def test_wrapped_train_runs_in_workers(self, monkeypatch):
+        # the way a tracer wraps train: a local closure, which cannot be pickled
+        parts, grid = grid_parts()
+        expected = fits_as_bytes(fit_horizons(parts, grid, small_params(), seed=3, workers=1))
+        real = evaluation.train
+
+        def wrapped(*args, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", wrapped)
+        fits = fit_horizons(parts, grid, small_params(), seed=3, workers=2)
+        assert fits_as_bytes(fits) == expected
+        # a model sent back from a worker is as read-only as one trained here
+        assert not fits[0][2].leaf.flags.writeable
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker sees the patched train")
+    def test_dead_worker_is_a_training_error(self, monkeypatch):
+        parts, grid = grid_parts()
+        monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: os._exit(1))
+        with pytest.raises(TrainingError, match="worker process died"):
+            fit_horizons(parts, grid, small_params(), seed=3, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_job_error_keeps_its_type(self):
+        parts, grid = grid_parts()
+        # a single-class part fails its first fold fit with the documented error
+        parts[1] = make_dataset(parts[1].features, np.full(len(parts[1]), 2))
+        with pytest.raises(TrainingError, match="single class"):
+            fit_horizons(parts, grid, small_params(), seed=3, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestPredict:

@@ -72,6 +72,31 @@ def test_descending_timestamps_rejected():
         )
 
 
+@pytest.mark.parametrize("bounds", [((0, 2),), ((0, 3), (1, 4)), ((0, 2), (2, 4))],
+                         ids=["short_of_the_end", "overlapping", "split_without_gap"])
+def test_segment_bounds_must_follow_the_strides(bounds):
+    # four points one stride apart form one segment; any other bounds would
+    # make build_dataset drop or repeat rows
+    with pytest.raises(DataError, match="segment_bounds"):
+        WindPowerSeries(
+            timestamps=600 * np.arange(1, 5),
+            powers=np.ones(4),
+            resolution_s=600,
+            rated_capacity_mw=20.0,
+            segment_bounds=bounds,
+        )
+
+
+def test_segment_bounds_derived_from_the_strides():
+    wps = WindPowerSeries(
+        timestamps=np.array([600, 1200, 2400, 3000, 3600]),
+        powers=np.ones(5),
+        resolution_s=600,
+        rated_capacity_mw=20.0,
+    )
+    assert wps.segment_bounds == ((0, 2), (2, 5))
+
+
 def test_malformed_row_reports_line_number(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n1200,oops\n"
     with pytest.raises(DataError, match="line 3"):
