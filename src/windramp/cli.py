@@ -37,7 +37,6 @@ _DEFAULT_CONFIG = {
         "timestamp_column": "timestamp",
         "power_column": "power_mw",
         "delimiter": ",",
-        "site_id": "",
     },
     "resolution_s": 600,
     "rated_capacity_mw": None,
@@ -214,7 +213,6 @@ def _load_series(cfg: dict) -> tuple[series.WindPowerSeries, series.LoadReport]:
         schema,
         resolution_s=cfg["resolution_s"],
         rated_capacity_mw=cfg["rated_capacity_mw"],
-        site_id=data["site_id"],
     )
 
 
@@ -254,7 +252,7 @@ def _dataset_sha256(ds: labeling.LabeledDataset) -> str:
 
 
 def _distribution_doc(cfg: dict, wps: series.WindPowerSeries, thresholds) -> dict:
-    doc = {"site_id": wps.site_id, "thresholds_mw": list(thresholds.thresholds_mw), "horizons": {}}
+    doc = {"thresholds_mw": list(thresholds.thresholds_mw), "horizons": {}}
     for s in cfg["horizons"]:
         ds = _build_dataset(cfg, wps, thresholds, s)
         dist = labeling.class_distribution(ds)
@@ -450,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timestamp-column")
         p.add_argument("--power-column")
         p.add_argument("--delimiter")
-        p.add_argument("--site-id")
         p.add_argument("--resolution-s", type=int)
         p.add_argument("--capacity-mw", dest="rated_capacity_mw", type=float)
         p.add_argument("--threshold-fraction", type=float)

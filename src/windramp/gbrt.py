@@ -14,16 +14,17 @@ deepest tree. ``feature`` and ``threshold`` (T x 2^D-1) hold the internal
 slots: the children of slot i are slots 2i+1 and 2i+2, and a row goes to
 the right one when x[feature] >= threshold. A slot that does not split has
 feature -1 and sends every row left (its threshold is +inf in memory).
-``leaf`` (T x 2^D) holds the weights one level below; a leaf shallower than
-D is copied to every slot under it. Prediction walks all trees of a block
-of rows at once, in D vectorized steps.
+``leaf`` (T x 2^D) holds the weights one level below, already multiplied by
+the learning rate; a leaf shallower than D is copied to every slot under
+it. A score is the base score plus one leaf of every tree. Prediction walks
+all trees of a block of rows at once, in D vectorized steps.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +33,8 @@ import numpy as np
 from .errors import ConfigError, DataError, ModelFormatError, TrainingError
 from .labeling import LabeledDataset
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
+_MODEL_KEYS = ("base_score", "feature", "leaf", "n_features", "threshold", "version")  # sorted
 
 # the layout gives every tree 2^max_depth leaf slots
 MAX_DEPTH = 12
@@ -172,14 +174,19 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bins, edges[:, :max(1, np.isfinite(edges).sum(axis=1).max())]
 
 
-def _histograms(columns: np.ndarray, node: np.ndarray, g: np.ndarray, h: np.ndarray, count: int, width: int):
+def _histograms(columns: np.ndarray, node: np.ndarray, g: np.ndarray, h: np.ndarray, count: int, width: int,
+                counts: np.ndarray | None = None):
     """Gradient, hessian and row-count histograms (count x 3 x F x width) of
-    ``count`` nodes, from their rows' bins (F x m) and nodes (m)."""
+    ``count`` nodes, from their rows' bins (F x m) and nodes (m). Given
+    ``counts`` (F x width, one node), the row counts are copied from it."""
     hist = np.empty((count, 3, len(columns), width))
+    sums = (g, h, None)
+    if counts is not None:
+        hist[:, 2], sums = counts, (g, h)
     base = node * width
     for j, column in enumerate(columns):
         index = base + column
-        for c, weights in enumerate((g, h, None)):
+        for c, weights in enumerate(sums):
             hist[:, c, j] = np.bincount(index, weights, count * width).reshape(count, width)
     return hist
 
@@ -213,6 +220,7 @@ def grow_tree(
     hess: np.ndarray,
     params: HyperParams,
     train_leaf_values: np.ndarray | None = None,
+    root_counts: np.ndarray | None = None,
 ) -> Tree:
     """Greedy growth to max_depth over the histograms of the columns
     :func:`bin_columns` binned, one level at a time, straight into the
@@ -222,10 +230,12 @@ def grow_tree(
     rows; the larger one is its parent's histogram minus the smaller one's.
     A level wider than _HIST_CELLS cells is built from the rows and searched
     one block of nodes at a time. A split after bin k stores threshold
-    edges[k]. Leaf weight is -G/(H+lambda) from the node's own sums; the
-    learning rate is applied when scores are accumulated, not here. When
+    edges[k]. Leaf weight is -G/(H+lambda) from the node's own sums; ``train``
+    applies the learning rate, not this function. When
     ``train_leaf_values`` is given, each training row's leaf weight is
-    written into it, sparing a full predict pass.
+    written into it, sparing a full predict pass. ``root_counts`` (F x
+    width), the rows in each bin of each column, is the same for every tree
+    grown on ``bins``; ``train`` passes it so that no tree rebuilds it.
     """
     num_features, n = bins.shape
     if n == 0:
@@ -238,7 +248,7 @@ def grow_tree(
     # the rows of the level's nodes, their gradient pairs and their nodes (indices into slots)
     rows, g, h, node = np.arange(n), grad, hess, np.zeros(n, dtype=np.intp)
     slots = np.zeros(1, dtype=np.intp)  # each node's slot in the layout
-    hist = _histograms(bins, node, g, h, 1, width)
+    hist = _histograms(bins, node, g, h, 1, width, root_counts)
     for depth in range(top + 1):
         count = slots.size
         G, H = np.bincount(node, g, count), np.bincount(node, h, count)
@@ -282,7 +292,8 @@ def grow_tree(
 class GbrtModel:
     """Trained ensemble: one tree per class per boosting round, stacked in
     the layout the module docstring describes (``feature``, ``threshold``
-    and ``leaf`` have one row per tree, round-major and class-minor).
+    and ``leaf`` have one row per tree, round-major and class-minor, and
+    the leaves are shrunken).
 
     Immutable after training; prediction is read-only and safe to call from
     many threads at once.
@@ -291,10 +302,7 @@ class GbrtModel:
     feature: np.ndarray
     threshold: np.ndarray
     leaf: np.ndarray
-    num_classes: int
-    learning_rate: float
     base_score: np.ndarray
-    hyperparams: HyperParams
     n_features: int
 
     def __post_init__(self):
@@ -307,6 +315,10 @@ class GbrtModel:
     def __reduce__(self):
         # rebuilt through __init__, so a model unpickled from a worker is read-only too
         return GbrtModel, tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def num_classes(self) -> int:
+        return self.base_score.size
 
     @property
     def n_rounds(self) -> int:
@@ -333,7 +345,7 @@ class GbrtModel:
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Accumulated per-class scores: the base score plus every tree's
-        shrunken leaf weight, added round by round."""
+        leaf weight, added round by round."""
         X = self._check_rows(X)
         n_trees, n_leaf_slots = self.leaf.shape
         # node ids index the flat arrays: slot i of tree t is t*(2^D-1) + i,
@@ -342,7 +354,6 @@ class GbrtModel:
         step = 1 - first
         # after D steps node is t*(2^D-1) + 2^D-1 + j; leaf slot j of tree t is t*2^D + j
         to_leaf = np.arange(n_trees) + 1 - n_leaf_slots
-        scaled = self.learning_rate * self.leaf
         block = max(1, _BLOCK_NODES // n_trees)
         scores = np.empty((X.shape[0], self.num_classes))
         for start in range(0, X.shape[0], block):
@@ -357,7 +368,7 @@ class GbrtModel:
                 node += right
             terms = np.empty((len(rows), self.n_rounds + 1, self.num_classes))
             terms[:, 0] = self.base_score
-            terms[:, 1:] = scaled.take(node + to_leaf).reshape(len(rows), self.n_rounds, -1)
+            terms[:, 1:] = self.leaf.take(node + to_leaf).reshape(len(rows), self.n_rounds, -1)
             # cumsum adds in order, exactly as a loop over the rounds would
             scores[start:start + len(rows)] = np.cumsum(terms, axis=1)[:, -1]
         return scores
@@ -375,11 +386,11 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     """Fit a GBRT ensemble on a labeled dataset.
 
     Each round computes softmax gradients at the current scores, grows one
-    tree per class against them, and accumulates learning_rate-scaled leaf
-    weights. The base score is the log of add-one-smoothed class priors.
-    The feature columns are binned once, and a split after bin k stores
-    threshold edges[k], a value of its column: predict routes the training
-    rows exactly as their bins did.
+    tree per class against them, and accumulates its leaf weights times the
+    learning rate; the model stores those products. The base score is the
+    log of add-one-smoothed class priors. The feature columns are binned
+    once, and a split after bin k stores threshold edges[k], a value of its
+    column: predict routes the training rows exactly as their bins did.
     """
     params = params or HyperParams()
     X = dataset.features
@@ -397,6 +408,7 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     base_score = np.log((counts + 1.0) / (n + num_classes))
     scores = np.tile(base_score, (n, 1))
     bins, edges = bin_columns(X)
+    root_counts = np.stack([np.bincount(column, minlength=edges.shape[1] + 1) for column in bins])
     trees: list[Tree] = []
     leaf_values = np.empty(n, dtype=np.float64)
     for _ in range(params.n_estimators):
@@ -404,7 +416,7 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
         for c in range(num_classes):
             trees.append(grow_tree(
                 bins, edges, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
-                params, train_leaf_values=leaf_values,
+                params, train_leaf_values=leaf_values, root_counts=root_counts,
             ))
             scores[:, c] += params.learning_rate * leaf_values
 
@@ -413,11 +425,8 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     return GbrtModel(
         feature=[tree.feature[:2**depth - 1] for tree in trees],
         threshold=[tree.threshold[:2**depth - 1] for tree in trees],
-        leaf=[tree.leaf[:: 2 ** (params.max_depth - depth)] for tree in trees],
-        num_classes=num_classes,
-        learning_rate=params.learning_rate,
+        leaf=[params.learning_rate * tree.leaf[:: 2 ** (params.max_depth - depth)] for tree in trees],
         base_score=base_score,
-        hyperparams=params,
         n_features=X.shape[1],
     )
 
@@ -426,17 +435,16 @@ def serialize_model(model: GbrtModel) -> str:
     """Versioned JSON document; deserializing reproduces bit-identical
     predictions (floats use shortest round-trip formatting).
 
-    Format 2 holds the stacked layout of the module docstring as three
+    Format 3 holds ``version``, ``n_features``, ``base_score`` (one entry
+    per class) and the stacked layout of the module docstring as three
     lists with one row per tree, round-major and class-minor: ``feature``
-    and ``threshold`` with 2^D - 1 entries each, ``leaf`` with 2^D. A slot
-    that does not split is written as feature -1 with threshold 0.
+    and ``threshold`` with 2^D - 1 entries each, ``leaf`` with 2^D weights
+    already multiplied by the learning rate, so a score is a plain sum. A
+    slot that does not split is written as feature -1 with threshold 0.
     """
     doc = {
         "version": MODEL_FORMAT_VERSION,
-        "num_classes": model.num_classes,
-        "learning_rate": model.learning_rate,
         "base_score": model.base_score.tolist(),
-        "hyperparams": asdict(model.hyperparams),
         "n_features": model.n_features,
         "feature": model.feature.tolist(),
         "threshold": np.where(model.feature < 0, 0.0, model.threshold).tolist(),
@@ -458,29 +466,25 @@ def deserialize_model(text: str) -> GbrtModel:
             f"unsupported model version {version!r} (expected {MODEL_FORMAT_VERSION}); "
             "retrain the model"
         )
+    # a format-2 field beside them would mean leaves stored without shrinkage
+    if sorted(doc) != list(_MODEL_KEYS):
+        raise ModelFormatError(f"a model document holds exactly the keys {', '.join(_MODEL_KEYS)}; got "
+                               f"{', '.join(sorted(doc))}")
+    n_features = doc["n_features"]
     try:
-        num_classes, n_features = doc["num_classes"], doc["n_features"]
-        hp = HyperParams(**doc["hyperparams"])
         base = np.asarray(doc["base_score"], dtype=np.float64)
-        learning_rate = float(doc["learning_rate"])
         feature, threshold, leaf = (np.asarray(doc[key]) for key in ("feature", "threshold", "leaf"))
-    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if any(a.ndim != 2 or (a.size and a.dtype.kind not in kinds)
            for a, kinds in ((feature, "i"), (threshold, "iuf"), (leaf, "iuf"))):
         raise ModelFormatError("feature, threshold and leaf must be lists of equal-length lists of numbers")
     threshold, leaf = threshold.astype(np.float64), leaf.astype(np.float64)
-    for key, count in (("num_classes", num_classes), ("n_features", n_features)):
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ModelFormatError(f"{key} must be an integer, got {count!r}")
-    if num_classes < 2 or not 1 <= n_features <= np.iinfo(np.int32).max:
-        raise ModelFormatError(f"num_classes must be >= 2 and n_features in 1..2^31-1, got "
-                               f"{num_classes} and {n_features}")
-    if base.shape != (num_classes,):
-        raise ModelFormatError("base_score length must equal num_classes")
-    if learning_rate != hp.learning_rate:
-        raise ModelFormatError(f"learning_rate {learning_rate} differs from hyperparams.learning_rate "
-                               f"{hp.learning_rate}")
+    if isinstance(n_features, bool) or not isinstance(n_features, int) or not 1 <= n_features <= 2**31 - 1:
+        raise ModelFormatError(f"n_features must be an integer in 1..2^31-1, got {n_features!r}")
+    if base.ndim != 1 or base.size < 2:
+        raise ModelFormatError(f"base_score must be a list of at least 2 class scores, got shape {base.shape}")
+    num_classes = base.size
     if not (np.isfinite(base).all() and np.isfinite(threshold).all() and np.isfinite(leaf).all()):
         raise ModelFormatError("model holds a non-finite base score, threshold or leaf weight")
     n_trees, n_slots = feature.shape
@@ -489,8 +493,8 @@ def deserialize_model(text: str) -> GbrtModel:
     if threshold.shape != feature.shape or leaf.shape != (n_trees, n_slots + 1) or n_slots & (n_slots + 1):
         raise ModelFormatError(f"layout must be T x 2^D-1 feature and threshold rows and T x 2^D leaf rows, "
                                f"got {feature.shape}, {threshold.shape} and {leaf.shape}")
-    if n_slots.bit_length() > hp.max_depth:
-        raise ModelFormatError(f"layout depth {n_slots.bit_length()} exceeds max_depth {hp.max_depth}")
+    if n_slots.bit_length() > MAX_DEPTH:
+        raise ModelFormatError(f"layout depth {n_slots.bit_length()} exceeds max_depth {MAX_DEPTH}")
     if feature.size and (feature.min() < -1 or feature.max() >= n_features):
         raise ModelFormatError(f"a tree splits on a feature outside 0..{n_features - 1}")
     if np.any((feature[:, 1:] >= 0) & (feature[:, (np.arange(1, n_slots) - 1) // 2] < 0)):
@@ -503,17 +507,14 @@ def deserialize_model(text: str) -> GbrtModel:
         feature=feature,
         threshold=np.where(feature < 0, np.inf, threshold),
         leaf=leaf,
-        num_classes=num_classes,
-        learning_rate=learning_rate,
         base_score=base,
-        hyperparams=hp,
         n_features=n_features,
     )
     # every partial sum of a score is bounded by this sequential sum, so a
     # finite bound means predict can never overflow into inf or NaN
     largest = np.abs(model.leaf).max(axis=1).reshape(model.n_rounds, num_classes)
     with np.errstate(over="ignore"):
-        bound = np.cumsum(np.vstack([np.abs(base), learning_rate * largest]), axis=0)[-1]
+        bound = np.cumsum(np.vstack([np.abs(base), largest]), axis=0)[-1]
     if not np.isfinite(bound).all():
         raise ModelFormatError("leaf weights this large overflow the scores to infinity")
     return model

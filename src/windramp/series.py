@@ -33,8 +33,11 @@ class LoadReport:
 
     rows_read: int
     rows_dropped: int
-    gaps: int
     segments: int
+
+    @property
+    def gaps(self) -> int:
+        return self.segments - 1
 
 
 @dataclass(frozen=True)
@@ -42,17 +45,16 @@ class WindPowerSeries:
     """Uniformly sampled wind-power series, possibly in several segments.
 
     Timestamps increase strictly, by ``resolution_s`` seconds within a
-    segment; a longer stride starts the next segment. ``segment_bounds`` is
-    derived from the timestamps; one that is given must equal it. Arrays are
-    read-only; a constructed series is safe to share across threads.
+    segment; a longer stride starts the next segment. ``segment_bounds``
+    ([start, stop) of each segment) is derived from the timestamps. Arrays
+    are read-only; a constructed series is safe to share across threads.
     """
 
     timestamps: np.ndarray
     powers: np.ndarray
     resolution_s: int
     rated_capacity_mw: float
-    site_id: str = ""
-    segment_bounds: tuple[tuple[int, int], ...] = field(default=())
+    segment_bounds: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
@@ -66,18 +68,12 @@ class WindPowerSeries:
         if not (self.rated_capacity_mw > 0 and math.isfinite(self.rated_capacity_mw)):
             raise DataError(f"rated_capacity_mw must be finite and > 0, got {self.rated_capacity_mw}")
         bounds = _split_segments(ts, self.resolution_s)
-        given = tuple((int(start), int(stop)) for start, stop in self.segment_bounds)
-        if given and given != bounds:
-            raise DataError(
-                f"segment_bounds {given} differ from the segments the timestamps give, {bounds}: "
-                "a segment ends exactly where the stride exceeds resolution_s"
-            )
         _validate_points(ts, pw, self.rated_capacity_mw)
         ts.setflags(write=False)
         pw.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "powers", pw)
-        object.__setattr__(self, "segment_bounds", tuple(bounds))
+        object.__setattr__(self, "segment_bounds", bounds)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -156,7 +152,6 @@ def load_series(
     *,
     resolution_s: int,
     rated_capacity_mw: float,
-    site_id: str = "",
 ) -> tuple[WindPowerSeries, LoadReport]:
     """Read a delimited text file into a validated WindPowerSeries.
 
@@ -169,12 +164,12 @@ def load_series(
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw, site_id)
+            return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read series file {path}: {exc}") from exc
 
 
-def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id):
+def _read_delimited(fh, schema, resolution_s, rated_capacity_mw):
     reader = csv.reader(fh, delimiter=schema.delimiter)
     try:
         header = next(reader)
@@ -218,11 +213,8 @@ def _read_delimited(fh, schema, resolution_s, rated_capacity_mw, site_id):
         powers=pw[order],
         resolution_s=resolution_s,
         rated_capacity_mw=rated_capacity_mw,
-        site_id=site_id,
     )
-    segments = len(series.segment_bounds)
-    report = LoadReport(rows_read=rows_read, rows_dropped=rows_dropped, gaps=segments - 1, segments=segments)
-    return series, report
+    return series, LoadReport(rows_read=rows_read, rows_dropped=rows_dropped, segments=len(series.segment_bounds))
 
 
 def write_series(series: WindPowerSeries, path, schema: ColumnSchema | None = None) -> None:

@@ -16,7 +16,6 @@ from .errors import DataError
 from .series import WindPowerSeries
 
 RESOLUTION_S = 600
-SITE_ID = "synthetic"
 # Per-step probability of a storm starting during a calm stretch: roughly 1.5%
 # of steps then carry an injected severe ramp (about half of rated capacity in
 # one step), the order of magnitude of rare-event fractions in real site data.
@@ -83,5 +82,4 @@ def generate_series(n_points: int, *, rated_capacity_mw: float = 20.0, seed: int
         powers=powers,
         resolution_s=RESOLUTION_S,
         rated_capacity_mw=rated_capacity_mw,
-        site_id=SITE_ID,
     )

@@ -19,14 +19,12 @@ def tiny_series():
     """One segment, stride 600, powers well inside a 20 MW capacity."""
     powers = np.array([5.0, 15.0, 12.0, 0.0, 11.0, 0.0, 3.0, 9.0], dtype=np.float64)
     ts = 600 * np.arange(1, len(powers) + 1, dtype=np.int64)
-    return WindPowerSeries(
-        timestamps=ts, powers=powers, resolution_s=600, rated_capacity_mw=20.0, site_id="tiny"
-    )
+    return WindPowerSeries(timestamps=ts, powers=powers, resolution_s=600, rated_capacity_mw=20.0)
 
 
-def make_series(powers, resolution_s=600, capacity=20.0, gaps_at=(), site_id="fixture"):
+def make_series(powers, resolution_s=600, capacity=20.0, gaps_at=()):
     """Series from raw powers; ``gaps_at`` lists indices whose timestamp is
-    shifted to start a new segment."""
+    shifted to start a new segment, which the series must find."""
     powers = np.asarray(powers, dtype=np.float64)
     ts = np.zeros(powers.size, dtype=np.int64)
     t = resolution_s
@@ -41,14 +39,9 @@ def make_series(powers, resolution_s=600, capacity=20.0, gaps_at=(), site_id="fi
         bounds.append((start, i))
         start = i
     bounds.append((start, powers.size))
-    return WindPowerSeries(
-        timestamps=ts,
-        powers=powers,
-        resolution_s=resolution_s,
-        rated_capacity_mw=capacity,
-        site_id=site_id,
-        segment_bounds=tuple(bounds),
-    )
+    wps = WindPowerSeries(timestamps=ts, powers=powers, resolution_s=resolution_s, rated_capacity_mw=capacity)
+    assert wps.segment_bounds == tuple(bounds)
+    return wps
 
 
 def make_dataset(features, targets, thresholds=None, steps_ahead=1):

@@ -174,13 +174,12 @@ def leaf_slot(feature, threshold, x):
 
 
 def document_scores(doc, x):
-    """Per-class raw scores of one row under a format-2 model document: the
-    base score plus learning_rate times each tree's leaf, added tree by tree
-    in document order (round-major, class-minor)."""
-    num_classes = doc["num_classes"]
+    """Per-class raw scores of one row under a format-3 model document: the
+    base score plus each tree's stored (already shrunken) leaf, added tree by
+    tree in document order (round-major, class-minor)."""
     scores = [float(b) for b in doc["base_score"]]
     for t, (feature, threshold, leaf) in enumerate(zip(doc["feature"], doc["threshold"], doc["leaf"])):
-        scores[t % num_classes] += doc["learning_rate"] * leaf[leaf_slot(feature, threshold, x)]
+        scores[t % len(scores)] += leaf[leaf_slot(feature, threshold, x)]
     return scores
 
 
@@ -201,18 +200,17 @@ def tree_leaf_weights(feature, leaf):
     return weights
 
 
-def model_objective(doc, X, targets):
-    """Eq.-style objective recomputed from a format-2 model document:
+def model_objective(doc, X, targets, params):
+    """Eq.-style objective recomputed from a format-3 model document:
     cross-entropy of the accumulated scores plus, per tree, the leaf-count
-    penalty and the L2 penalty on effective (shrunken) leaf values.
+    penalty and the L2 penalty on the stored (shrunken) leaf values, with
+    ``params.gamma`` and ``params.reg_lambda``.
 
     Returns the trace over 0..n_rounds rounds.
     """
     X = np.asarray(X, dtype=np.float64)
-    lr = doc["learning_rate"]
-    lam = doc["hyperparams"]["reg_lambda"]
-    gamma = doc["hyperparams"]["gamma"]
-    num_classes = doc["num_classes"]
+    lam, gamma = params.reg_lambda, params.gamma
+    num_classes = len(doc["base_score"])
     y = [int(t) - 1 for t in targets]
 
     scores = np.tile(np.asarray(doc["base_score"], dtype=np.float64), (X.shape[0], 1))
@@ -223,8 +221,8 @@ def model_objective(doc, X, targets):
     for start in range(0, len(trees), num_classes):
         for c, (feature, threshold, leaf) in enumerate(trees[start:start + num_classes]):
             for i, x in enumerate(X):
-                scores[i, c] += lr * leaf[leaf_slot(feature, threshold, x)]
+                scores[i, c] += leaf[leaf_slot(feature, threshold, x)]
             leaves = tree_leaf_weights(feature, leaf)
-            penalty += gamma * len(leaves) + 0.5 * lam * sum((lr * w) ** 2 for w in leaves)
+            penalty += gamma * len(leaves) + 0.5 * lam * sum(w * w for w in leaves)
         trace.append(cross_entropy_loss(scores, y) + penalty)
     return trace

@@ -71,7 +71,7 @@ class TestPipeline:
         (lambda ws: (ws["csv"].unlink(), ws["csv"].mkdir()), 3, "data"),
         (lambda ws: ws["csv"].write_bytes(b"timestamp,power_mw\n600,\xff\n"), 3, "data"),
         (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600," + "1" * 200_000 + "\n"), 3, "data"),
-        (lambda ws: ws["config"].write_bytes(b'{"version": 1, "site_id": "\xff"}'), 2, "config"),
+        (lambda ws: ws["config"].write_bytes(b'{"version": 1, "out": "\xff"}'), 2, "config"),
         (lambda ws: ws["config"].write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}"), 2, "config"),
     ], ids=["missing_series", "directory_series", "non_utf8_series", "oversized_field", "non_utf8_config",
             "deeply_nested_config"])
@@ -153,29 +153,28 @@ class TestPredict:
         (lambda d: next(row for row in d["feature"] if max(row[1:]) >= 0).__setitem__(0, -1),
          "below a slot that does not split"),
         (lambda d: d["feature"][0].__setitem__(0, 99), "feature"),
-        (lambda d: d["hyperparams"].update(n_estimators=0), "n_estimators"),
-        (lambda d: d["hyperparams"].update(n_estimators=2.5), "n_estimators"),
         (lambda d: d["base_score"].__setitem__(2, float("nan")), "non-finite"),
         (lambda d: d["base_score"].__setitem__(0, float("inf")), "non-finite"),
-        (lambda d: d.update(learning_rate=float("nan")), "learning_rate"),
-        (lambda d: d["hyperparams"].update(learning_rate=float("nan")), "learning_rate"),
-        (lambda d: d.update(learning_rate=5.0), "learning_rate"),
         (lambda d: d["threshold"][0].__setitem__(0, float("nan")), "non-finite"),
         (lambda d: d["leaf"][1].__setitem__(0, float("-inf")), "non-finite"),
-        (lambda d: d.update(learning_rate=1.0, hyperparams={**d["hyperparams"], "learning_rate": 1.0},
-                            leaf=[[1e308] * len(row) for row in d["leaf"]]), "overflow"),
-        (lambda d: d.update(num_classes=0, base_score=[]), "num_classes"),
-        (lambda d: d.update(num_classes=1, base_score=[0.0]), "num_classes"),
+        # three rounds of 1e308 per class add up past the largest double
+        (lambda d: d.update(leaf=[[1e308] * len(row) for row in d["leaf"]]), "overflow"),
+        (lambda d: d.update(base_score=[]), "base_score"),
+        (lambda d: d.update(base_score=[0.0]), "base_score"),
         (lambda d: d.update(version=1), "version 1"),
-        (lambda d: d.update(num_classes=4.9, n_features=6.5), "num_classes"),
+        (lambda d: d.update(version=2), "version 2 (expected 3); retrain the model"),
+        # a format-2 document whose version was bumped: its leaves are not shrunken
+        (lambda d: d.update(learning_rate=0.3), "exactly the keys"),
+        (lambda d: d.pop("leaf"), "exactly the keys"),
+        # 12 trees do not split into rounds of 5 classes
+        (lambda d: d.update(base_score=[0.0] * 5), "multiple of 5 trees"),
         (lambda d: d.update(n_features=LAGS + 0.5), "n_features"),
         (lambda d: d.update(n_features=True), "n_features"),
         (lambda d: d.update(n_features="12"), "n_features"),
-    ], ids=["layout_length", "split_under_leaf", "feature", "n_estimators_0", "n_estimators_float",
-            "nan_base_score", "inf_base_score", "nan_learning_rate", "nan_hyperparams_learning_rate",
-            "learning_rate_mismatch", "nan_threshold", "inf_leaf_weight", "huge_leaf_weights",
-            "num_classes_0", "num_classes_1", "version_1", "fractional_counts", "n_features_float",
-            "n_features_bool", "n_features_string"])
+    ], ids=["layout_length", "split_under_leaf", "feature", "nan_base_score", "inf_base_score",
+            "nan_threshold", "inf_leaf_weight", "huge_leaf_weights", "num_classes_0", "num_classes_1",
+            "version_1", "version_2", "format_2_field", "missing_key", "fractional_counts", "n_features_float", "n_features_bool",
+            "n_features_string"])
     def test_malformed_model_exits_4(self, model_path, tmp_path, capsys, edit, message):
         doc = json.loads(model_path.read_text())
         assert doc["feature"][0][0] >= 0
@@ -255,6 +254,7 @@ class TestConfig:
         ({"data": {"delimiter": 5}}, "delimiter"),
         ({"data": {"delimiter": "ab"}}, "delimiter"),
         ({"data": {"delim": ";"}}, "delim"),
+        ({"data": {"site_id": "x"}}, "site_id"),
         ({"out": 5}, "out"),
         ({"lags": 12}, "lags"),
         ({"rated_capacity_mw": float("inf")}, "rated_capacity_mw"),
@@ -264,7 +264,7 @@ class TestConfig:
         ({"thresholds_mw": []}, "thresholds_mw"),
         ({"thresholds_mw": [9, 4]}, "thresholds_mw"),
     ], ids=["grid_5", "grid_empty", "grid_string_choice", "grid_fractional_choice", "grid_string_folds",
-            "data_string", "delimiter_5", "delimiter_2_chars", "unknown_data_key", "out_5", "unknown_key_lags",
+            "data_string", "delimiter_5", "delimiter_2_chars", "unknown_data_key", "data_site_id", "out_5", "unknown_key_lags",
             "capacity_inf", "resolution_0", "seed_negative", "test_fraction_huge_integer",
             "thresholds_empty", "thresholds_decreasing"])
     def test_config_fault_exits_2(self, workspace, capsys, monkeypatch, tmp_path, fault, key):

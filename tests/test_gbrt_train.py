@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -8,12 +9,16 @@ import pytest
 from windramp import (
     ConfigError,
     DataError,
+    HorizonSpec,
     HyperParams,
     ModelFormatError,
     ParamGrid,
+    ThresholdSet,
     TrainingError,
+    build_dataset,
     evaluation,
     fit_horizons,
+    generate_series,
     train,
 )
 from windramp.gbrt import deserialize_model, serialize_model
@@ -79,16 +84,16 @@ class TestTrain:
 
     def test_objective_non_increasing(self):
         ds = quadrant_dataset(n=50, seed=1)
-        model = train(ds, HyperParams(n_estimators=30, max_depth=2, min_child_hessian=0.0))
-        trace = model_objective(json.loads(serialize_model(model)), ds.features, ds.targets)
+        params = HyperParams(n_estimators=30, max_depth=2, min_child_hessian=0.0)
+        trace = model_objective(json.loads(serialize_model(train(ds, params))), ds.features, ds.targets, params)
         assert len(trace) == 31
         assert np.all(np.diff(trace) <= 1e-9)
 
     def test_objective_matches_independent_evaluator(self):
         ds = quadrant_dataset(n=20, seed=2)
-        model = train(ds, small_params(n_estimators=5))
-        doc = json.loads(serialize_model(model))
-        oracle = model_objective(doc, ds.features, ds.targets)
+        params = small_params(n_estimators=5)
+        doc = json.loads(serialize_model(train(ds, params)))
+        oracle = model_objective(doc, ds.features, ds.targets, params)
         assert len(oracle) == 6
         assert all(b - a <= 1e-9 for a, b in zip(oracle, oracle[1:]))
         # training moved the objective: the trace is not flat at the base score
@@ -131,6 +136,24 @@ class TestDeterminism:
         for _, table, _ in results[1]:
             cells = json.loads(table)
             assert len(cells) == 4 and all(len(cell["fold_scores"]) == 3 for cell in cells)
+
+    @pytest.mark.parametrize("params, depth, digest", [
+        (HyperParams(n_estimators=5, max_depth=4), 4,
+         "1ec66739bb34242714b86f725928f9cdb5561cf381ec11b7133bd36a0be1202a"),
+        # the hessian floor stops every tree short of max_depth: the layout is cut to the deepest
+        (HyperParams(n_estimators=5, max_depth=12, min_child_hessian=50.0), 9,
+         "7773042bd9a20ff60b71436b5116f6a272d57a0a08f7717e6b99c0a343696544"),
+    ])
+    def test_raw_scores_pinned(self, params, depth, digest):
+        """Bits of a multi-round fit: gradient updates, shrinkage and the
+        cut to the deepest tree. Every sum runs in a fixed order, but softmax
+        and the base score call numpy's exp and log, whose last bits may
+        differ between numpy builds or CPUs: a digest holds for one of them."""
+        ds = build_dataset(generate_series(4320, seed=1), HorizonSpec(steps_ahead=6, lag_count=36),
+                           ThresholdSet.from_fraction(0.5, 20.0))
+        model = train(ds, params)
+        assert model.feature.shape == (5 * ds.num_classes, 2**depth - 1)
+        assert hashlib.sha256(model.raw_scores(ds.features).tobytes()).hexdigest() == digest
 
     def test_repeat_run_bit_identical(self):
         ds = quadrant_dataset(n=80, seed=5)
@@ -237,10 +260,8 @@ class TestModelIO:
         ds = quadrant_dataset(n=30)
         model = train(ds, small_params(n_estimators=3))
         doc = json.loads(serialize_model(model))
-        assert set(doc) == {"version", "num_classes", "learning_rate", "base_score", "hyperparams",
-                            "n_features", "feature", "threshold", "leaf"}
-        assert doc["version"] == 2
-        assert doc["num_classes"] == 4
+        assert set(doc) == {"version", "n_features", "base_score", "feature", "threshold", "leaf"}
+        assert doc["version"] == 3
         assert len(doc["base_score"]) == 4
         n_slots = len(doc["feature"][0])
         depth = max(t.depth for rnd in model.trees for t in rnd)
@@ -251,6 +272,15 @@ class TestModelIO:
         # a slot that does not split is written with threshold 0, never Infinity
         for feature, threshold in zip(doc["feature"], doc["threshold"]):
             assert all(t == 0.0 for f, t in zip(feature, threshold) if f == -1)
+
+    def test_leaves_stored_shrunken(self):
+        # the first round's trees do not depend on the learning rate
+        ds = quadrant_dataset(n=30)
+        full = train(ds, small_params(n_estimators=1, learning_rate=1.0))
+        shrunken = train(ds, small_params(n_estimators=1, learning_rate=0.3))
+        assert np.array_equal(shrunken.feature, full.feature)
+        assert shrunken.leaf.tobytes() == (0.3 * full.leaf).tobytes()
+        assert json.loads(serialize_model(shrunken))["leaf"] == (0.3 * full.leaf).tolist()
 
     def test_tree_views_count_real_nodes(self):
         ds = quadrant_dataset(n=30)
@@ -309,7 +339,6 @@ class TestModelIO:
 
     def test_layout_deeper_than_max_depth_rejected(self):
         doc = self._split_doc()
-        doc["hyperparams"]["max_depth"] = 12
         n = 2**13 - 1
         for key, fill, width in (("feature", -1, n), ("threshold", 0.0, n), ("leaf", 0.0, n + 1)):
             doc[key] = [[fill] * width for _ in doc[key]]

@@ -7,7 +7,6 @@ examples and tier-1 stays deterministic.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 from unittest import mock
@@ -63,10 +62,10 @@ def gapped_series(draw):
         t = timestamps[-1] + resolution * draw(st.integers(2, 50)) + draw(st.integers(0, resolution - 1))
     powers = draw(st.lists(st.floats(min_value=0.0, max_value=capacity), min_size=len(timestamps),
                            max_size=len(timestamps)))
-    return WindPowerSeries(
-        timestamps=np.array(timestamps, dtype=np.int64), powers=np.array(powers),
-        resolution_s=resolution, rated_capacity_mw=capacity, segment_bounds=tuple(bounds),
-    )
+    wps = WindPowerSeries(timestamps=np.array(timestamps, dtype=np.int64), powers=np.array(powers),
+                          resolution_s=resolution, rated_capacity_mw=capacity)
+    assert wps.segment_bounds == tuple(bounds)
+    return wps
 
 
 @PROPERTY
@@ -99,7 +98,7 @@ def test_stratified_split_share_within_one_row(counts, test_fraction, seed):
 
 @st.composite
 def model_documents(draw):
-    """A valid format-2 document: trees of mixed depths up to D, thresholds
+    """A valid format-3 document: trees of mixed depths up to D, thresholds
     from a small pool (so rows can hit them exactly), leaf weights copied
     down under every slot that does not split."""
     num_classes = draw(st.integers(2, 4))
@@ -124,13 +123,9 @@ def model_documents(draw):
         features.append(feature)
         thresholds.append([draw(st.sampled_from(pool)) if f >= 0 else 0.0 for f in feature])
         leaves.append(leaf)
-    learning_rate = draw(st.floats(0.01, 1.0))
-    hyperparams = HyperParams(n_estimators=len(features) // num_classes, max_depth=max(depth, 1),
-                              learning_rate=learning_rate)
     doc = {
-        "version": 2, "num_classes": num_classes, "learning_rate": learning_rate,
+        "version": 3, "n_features": n_features,
         "base_score": draw(st.lists(weights, min_size=num_classes, max_size=num_classes)),
-        "hyperparams": dataclasses.asdict(hyperparams), "n_features": n_features,
         "feature": features, "threshold": thresholds, "leaf": leaves,
     }
     values = st.one_of(st.sampled_from(pool), st.floats(-20, 20))
