@@ -3,14 +3,28 @@
 Configuration comes from a JSON file (``--config``) with flags overriding
 individual fields. ``resolve_config`` merges the two over the defaults and
 checks each value once there, whichever source it came from; the commands
-read the values as checked. Every run writes the resolved configuration next
-to its outputs. ``train`` and ``evaluate`` rebuild each horizon's labeled dataset
-from the series in memory; ``prepare`` writes only the class-distribution
-report. ``train`` runs every horizon's grid and final fits on one pool of
-``--workers`` processes, then writes the outputs in horizon order. It
-records each split as (seed, test fraction, dataset sha256) beside the
-model, and ``evaluate`` refuses to score a model whose series has changed
-since. Exit codes: 0 success, 2 config error, 3 data error, 4 training or
+read the values as checked. ``train`` and ``evaluate`` rebuild each
+horizon's labeled dataset from the series in memory. Every report is a JSON
+document, written once as it was built (sorted keys, 2-space indent):
+
+- ``prepare`` writes ``config.resolved.json`` and
+  ``reports/distribution.json`` (rows and class counts per horizon) and
+  prints one summary line of what it read.
+- ``train`` writes ``config.resolved.json``, and per horizon S
+  ``models/horizon_S.model.json``, the split record
+  ``models/horizon_S.split.json`` (seed, test fraction, dataset sha256)
+  and, with a grid, ``reports/grid_horizon_S.json`` (the winning pair and
+  the CV table). It runs every horizon's grid and final fits on one pool of
+  ``--workers`` processes, then writes the outputs in horizon order, and
+  prints one line per horizon.
+- ``evaluate`` re-runs each recorded split, refusing a model whose series
+  has changed since or whose split record is malformed, and writes
+  ``reports/evaluation.json`` (the deterministic scores) and
+  ``reports/timing.json`` (wall-clock seconds per example). It prints the
+  comparison table, which is rendered from those two and not stored.
+- ``predict`` prints one JSON line (class and probabilities) per row.
+
+Exit codes: 0 success, 2 config error, 3 data error, 4 training or
 model error. Errors print one JSON line to stderr.
 """
 
@@ -225,10 +239,8 @@ def _out_dirs(cfg: dict) -> dict[str, Path]:
     return dirs
 
 
-def _write_resolved_config(cfg: dict, root: Path) -> None:
-    (root / "config.resolved.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _split_path(dirs: dict, s: int) -> Path:
@@ -263,27 +275,11 @@ def _distribution_doc(cfg: dict, wps: series.WindPowerSeries, thresholds) -> dic
     return doc
 
 
-def _distribution_text(doc: dict) -> str:
-    lines = []
-    for s, block in doc["horizons"].items():
-        lines.append(f"Horizon S={s} ({block['rows']} examples)")
-        lines.append(f"{'Class':>6} {'Count':>10} {'Percentage':>11}")
-        for c, entry in block["classes"].items():
-            lines.append(f"{c:>6} {entry['count']:>10} {entry['percentage']:>10.2f}%")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def cmd_prepare(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
-    _write_resolved_config(cfg, dirs["root"])
+    _write_json(dirs["root"] / "config.resolved.json", cfg)
     wps, report = _load_series(cfg)
-    thresholds = _thresholds(cfg)
-    doc = _distribution_doc(cfg, wps, thresholds)
-    (dirs["reports"] / "distribution.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (dirs["reports"] / "distribution.txt").write_text(_distribution_text(doc), encoding="utf-8")
+    _write_json(dirs["reports"] / "distribution.json", _distribution_doc(cfg, wps, _thresholds(cfg)))
     print(
         f"wrote class distributions for {len(cfg['horizons'])} horizons to {dirs['reports']} "
         f"(rows read {report.rows_read}, dropped {report.rows_dropped}, "
@@ -294,7 +290,7 @@ def cmd_prepare(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
-    _write_resolved_config(cfg, dirs["root"])
+    _write_json(dirs["root"] / "config.resolved.json", cfg)
     seed = cfg["seed"]
     fixed = gbrt.HyperParams(**cfg["hyperparams"])
     grid = cfg["grid"] and evaluation.ParamGrid(
@@ -312,26 +308,13 @@ def cmd_train(cfg: dict) -> int:
     fits = evaluation.fit_horizons(parts, grid, fixed, seed=seed, workers=cfg["workers"])
     for s, train_ds, digest, (params, table, model) in zip(cfg["horizons"], parts, digests, fits):
         if grid:
-            (dirs["reports"] / f"grid_horizon_{s}.json").write_text(
-                json.dumps(
-                    {
-                        "best": {"n_estimators": params.n_estimators, "max_depth": params.max_depth},
-                        "table": [cell.to_dict() for cell in table],
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
+            _write_json(dirs["reports"] / f"grid_horizon_{s}.json", {
+                "best": {"n_estimators": params.n_estimators, "max_depth": params.max_depth},
+                "table": table,
+            })
         gbrt.save_model(model, _model_path(dirs, s))
-        _split_path(dirs, s).write_text(
-            json.dumps(
-                {"seed": seed, "test_fraction": cfg["test_fraction"], "dataset_sha256": digest},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
+        _write_json(_split_path(dirs, s),
+                    {"seed": seed, "test_fraction": cfg["test_fraction"], "dataset_sha256": digest})
         print(
             f"horizon S={s}: trained n_estimators={params.n_estimators} "
             f"max_depth={params.max_depth} on {len(train_ds)} rows -> {_model_path(dirs, s)}"
@@ -344,13 +327,20 @@ def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
     path = _split_path(dirs, s)
     if not path.exists():
         raise DataError(f"split record {path} missing; run `windramp train` first")
+    malformed = f"malformed split record {path}"
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
-        seed, test_fraction = int(record["seed"]), float(record["test_fraction"])
-        recorded_sha = str(record["dataset_sha256"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed split record {path}: {exc}") from exc
-    if recorded_sha != _dataset_sha256(ds):
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise DataError(f"{malformed}: {exc}") from exc
+    if not isinstance(record, dict) or set(record) != {"seed", "test_fraction", "dataset_sha256"} \
+            or not isinstance(record["dataset_sha256"], str):
+        raise DataError(f"{malformed}: expected exactly the keys seed, test_fraction and dataset_sha256 (a string)")
+    try:  # the config's rules for the two values the record repeats
+        seed = _number("seed", record["seed"], *_SCALARS["seed"])
+        test_fraction = _number("test_fraction", record["test_fraction"], *_SCALARS["test_fraction"])
+    except ConfigError as exc:
+        raise DataError(f"{malformed}: {exc}") from exc
+    if record["dataset_sha256"] != _dataset_sha256(ds):
         raise DataError(
             f"horizon S={s}: the dataset rebuilt from the series differs from the one "
             "the model was trained on; the series or labeling config changed since "
@@ -373,21 +363,11 @@ def cmd_evaluate(cfg: dict) -> int:
             train_ds, test_ds = _resplit(dirs, s, _build_dataset(cfg, wps, thresholds, s))
             yield model, train_ds, test_ds
 
-    reports = evaluation.evaluate_horizons(wps, horizons())
-    # metrics document stays deterministic; wall-clock goes to its own file
-    metrics_doc = {"models": [rep.to_dict() for rep in reports]}
-    timing_doc = {
-        "seconds_per_example": {rep.model_name: rep.test_seconds_per_example for rep in reports}
-    }
-    (dirs["reports"] / "evaluation.json").write_text(
-        json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (dirs["reports"] / "timing.json").write_text(
-        json.dumps(timing_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    table = evaluation.format_report_table(reports)
-    (dirs["reports"] / "evaluation.txt").write_text(table, encoding="utf-8")
-    print(table, end="")
+    doc, seconds = evaluation.evaluate_horizons(wps, horizons())
+    # the metrics document stays deterministic; wall-clock goes to its own file
+    _write_json(dirs["reports"] / "evaluation.json", doc)
+    _write_json(dirs["reports"] / "timing.json", {"seconds_per_example": seconds})
+    print(evaluation.format_report_table(doc, seconds), end="")
     return 0
 
 
@@ -402,7 +382,7 @@ def _read_feature_rows(source: str, lag_count: int) -> np.ndarray:
         if not line:
             continue
         cells = line.split(",")
-        if line_no == 1 and any(not _is_number(c) for c in cells):
+        if line_no == 1 and not any(_is_number(c) for c in cells):
             continue  # header row
         if len(cells) != lag_count:
             raise DataError(

@@ -9,6 +9,13 @@ and row sums gives one-vs-rest precision and recall, their F1 is averaged
 into an overall score, and a separate macro F1 covers the rare (severe)
 classes. A ratio with a zero denominator reads 0, so a class that is never
 predicted and never true gets F1 = 0.
+
+Each report is built once, as the JSON document it is written as:
+``evaluate_horizons`` returns the content of ``evaluation.json`` (wall-clock
+seconds per example come back beside it, never inside it), and
+``fit_horizons`` returns each cross-validation table as the rows of
+``grid_horizon_S.json``. ``format_report_table`` renders the evaluation
+document as the text table ``windramp evaluate`` prints.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from . import baselines
 from .errors import ConfigError, DataError, TrainingError
 from .gbrt import GbrtModel, HyperParams, train
-from .labeling import HorizonSpec, LabeledDataset
+from .labeling import LabeledDataset
 from .series import WindPowerSeries
 
 logger = logging.getLogger(__name__)
@@ -45,10 +52,9 @@ class MetricsReport:
     overall_f1: float
     rare_f1: float
     rare_classes: tuple[int, ...]
-    horizon: HorizonSpec | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "accuracy": self.accuracy,
             "overall_f1": self.overall_f1,
             "rare_f1": self.rare_f1,
@@ -58,9 +64,6 @@ class MetricsReport:
                 for c, (p, r, f) in enumerate(zip(self.precision, self.recall, self.f1), start=1)
             },
         }
-        if self.horizon is not None:
-            out["steps_ahead"] = self.horizon.steps_ahead
-        return out
 
 
 def confusion(true: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
@@ -86,19 +89,13 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
-def metrics(
-    counts: np.ndarray,
-    rare_classes: tuple[int, ...] | None = None,
-    horizon: HorizonSpec | None = None,
-) -> MetricsReport:
+def metrics(counts: np.ndarray, rare_classes: tuple[int, ...]) -> MetricsReport:
     """Accuracy, one-vs-rest precision/recall/F1 per class, macro overall F1,
     and macro F1 over the rare classes, all classes at once."""
     total = counts.sum()
     if total == 0:
         raise DataError("cannot compute metrics on an empty confusion matrix")
     k = counts.shape[0]
-    if rare_classes is None:
-        rare_classes = (1, k)
     rare = tuple(sorted(set(int(c) for c in rare_classes)))
     if any(c < 1 or c > k for c in rare):
         raise DataError(f"rare classes {rare} outside 1..{k}")
@@ -114,7 +111,6 @@ def metrics(
         overall_f1=float(np.mean(f1)),
         rare_f1=float(np.mean(f1[[c - 1 for c in rare]])) if rare else 0.0,
         rare_classes=rare,
-        horizon=horizon,
     )
 
 
@@ -228,22 +224,6 @@ class ParamGrid:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
 
 
-@dataclass(frozen=True)
-class GridCell:
-    n_estimators: int
-    max_depth: int
-    fold_scores: tuple[float, ...]
-    mean_score: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "fold_scores": list(self.fold_scores),
-            "mean_score": self.mean_score,
-        }
-
-
 def _fit(part: LabeledDataset, params: HyperParams) -> GbrtModel:
     # a pool pickles this function by name; ``train`` itself may be wrapped
     # in a closure (a tracer does that), which cannot be pickled
@@ -284,7 +264,7 @@ def fit_horizons(
     fixed: HyperParams | None = None,
     seed: int = 0,
     workers: int | None = 1,
-) -> list[tuple[HyperParams, list[GridCell], GbrtModel]]:
+) -> list[tuple[HyperParams, list[dict], GbrtModel]]:
     """Select hyperparameters for each train part and fit its final model.
 
     With a grid, every (n_estimators, max_depth) pair is scored on each part
@@ -293,7 +273,9 @@ def fit_horizons(
     max_depth. Each part's final model is then fit with the fixed params
     with its winning pair substituted (the fixed params as given when
     ``grid`` is None, with an empty table). Returns one (params, CV table,
-    model) per part.
+    model) per part; the table holds one row per cell, as written to
+    ``grid_horizon_S.json``: ``n_estimators``, ``max_depth``, the
+    ``fold_scores`` and their ``mean_score``.
 
     Every part's (cell, fold) fits, and then every part's final fit, run on
     one pool of up to ``workers`` processes (None = all cores). Each fit is
@@ -318,49 +300,21 @@ def fit_horizons(
         for _ in parts:
             table = []
             for params in cells:
-                fold_scores = tuple(itertools.islice(scores, grid.folds))
-                mean = float(np.mean(fold_scores))
-                table.append(GridCell(params.n_estimators, params.max_depth, fold_scores, mean))
+                fold_scores = list(itertools.islice(scores, grid.folds))
+                table.append({"n_estimators": params.n_estimators, "max_depth": params.max_depth,
+                              "fold_scores": fold_scores, "mean_score": float(np.mean(fold_scores))})
             tables.append(table)
-            best = max(table, key=lambda cell: (cell.mean_score, -cell.n_estimators, -cell.max_depth), default=None)
+            best = max(table, key=lambda cell: (cell["mean_score"], -cell["n_estimators"], -cell["max_depth"]),
+                       default=None)
             chosen.append(fixed if best is None else cells[table.index(best)])
         models = list(run(_fit, parts, chosen))
     return list(zip(chosen, tables, models))
 
 
-@dataclass(frozen=True)
-class MultiHorizonReport:
-    """Per-horizon reports plus unweighted means across horizons.
-
-    ``pooled_accuracy`` (trace over the summed confusion matrix) is carried
-    alongside the headline mean-over-horizons accuracy.
-    ``test_seconds_per_example`` is wall-clock and stays out of ``to_dict``,
-    so the dictionary is a deterministic function of the predictions.
-    """
-
-    per_horizon: tuple[MetricsReport, ...]
-    mean_accuracy: float
-    mean_overall_f1: float
-    mean_rare_f1: float
-    pooled_accuracy: float
-    model_name: str
-    test_seconds_per_example: float
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "mean_accuracy": self.mean_accuracy,
-            "mean_overall_f1": self.mean_overall_f1,
-            "mean_rare_f1": self.mean_rare_f1,
-            "pooled_accuracy": self.pooled_accuracy,
-            "per_horizon": [r.to_dict() for r in self.per_horizon],
-        }
-
-
 def evaluate_horizons(
     series: WindPowerSeries,
     items: Iterable[tuple[GbrtModel, LabeledDataset, LabeledDataset]],
-) -> list[MultiHorizonReport]:
+) -> tuple[dict, dict[str, float]]:
     """Score GBRT, persistence and majority on each horizon's test rows.
 
     ``items`` holds one (model, train part, test part) triple per horizon,
@@ -368,16 +322,28 @@ def evaluate_horizons(
     scored on the test rows whose anchor has an observation S steps back
     (all of them when L-1 >= S), and majority predicts the modal class of
     the train part. Triples are consumed one at a time, so a generator keeps
-    a single horizon in memory. Returns the gbrt, persistence and majority
-    reports, in that order, each with its wall-clock seconds per test example.
+    a single horizon in memory.
+
+    Returns ``(doc, seconds)``. ``doc`` is the content of
+    ``evaluation.json``: ``{"models": [...]}`` with one entry for gbrt,
+    persistence and majority, in that order, each holding its ``model``
+    name, the unweighted means over horizons ``mean_accuracy``,
+    ``mean_overall_f1`` and ``mean_rare_f1``, the ``pooled_accuracy`` (the
+    accuracy of the horizons' count arrays summed into one), and
+    ``per_horizon``: one ``MetricsReport.to_dict()`` per horizon, in the
+    order given, plus its ``steps_ahead``. ``doc`` is a deterministic function of the predictions;
+    ``seconds`` maps each predictor to its wall-clock seconds per test
+    example and is kept apart from it.
     """
     scored = {name: ([], [], [0.0, 0]) for name in ("gbrt", "persistence", "majority")}
 
     def score(name, true, predicted, test: LabeledDataset, seconds: float) -> None:
         counts = confusion(true, predicted, test.num_classes)
-        reports, pooled, clock = scored[name]
-        reports.append(metrics(counts, test.thresholds.rare_class_ids, test.horizon))
-        pooled.append(counts)
+        per_horizon, horizon_counts, clock = scored[name]
+        per_horizon.append(
+            {**metrics(counts, test.thresholds.rare_class_ids).to_dict(), "steps_ahead": test.horizon.steps_ahead}
+        )
+        horizon_counts.append(counts)
         clock[0] += seconds
         clock[1] += len(true)
 
@@ -412,49 +378,37 @@ def evaluate_horizons(
 
     if not seen:
         raise DataError("no (model, train, test) triples given")
-    return [
-        _aggregate(reports, pooled, name, clock[0] / clock[1] if clock[1] else 0.0)
-        for name, (reports, pooled, clock) in scored.items()
-    ]
+    models, seconds = [], {}
+    for name, (per_horizon, horizon_counts, (elapsed, examples)) in scored.items():
+        pooled = np.sum(horizon_counts, axis=0)
+        models.append({
+            "model": name,
+            **{f"mean_{key}": float(np.mean([r[key] for r in per_horizon]))
+               for key in ("accuracy", "overall_f1", "rare_f1")},
+            "pooled_accuracy": float(np.trace(pooled) / pooled.sum()),
+            "per_horizon": per_horizon,
+        })
+        seconds[name] = elapsed / examples if examples else 0.0
+    return {"models": models}, seconds
 
 
-def _aggregate(
-    reports: list[MetricsReport],
-    counts: list[np.ndarray],
-    model_name: str,
-    test_seconds_per_example: float,
-) -> MultiHorizonReport:
-    """Means of the per-horizon scores, plus accuracy over the summed counts."""
-    pooled = np.sum(counts, axis=0)
-    return MultiHorizonReport(
-        per_horizon=tuple(reports),
-        mean_accuracy=float(np.mean([r.accuracy for r in reports])),
-        mean_overall_f1=float(np.mean([r.overall_f1 for r in reports])),
-        mean_rare_f1=float(np.mean([r.rare_f1 for r in reports])),
-        pooled_accuracy=float(np.trace(pooled) / pooled.sum()),
-        model_name=model_name,
-        test_seconds_per_example=test_seconds_per_example,
-    )
-
-
-def format_report_table(reports: list[MultiHorizonReport]) -> str:
-    """Aligned plain-text comparison table (one block per model), with the
+def format_report_table(doc: dict, seconds: dict[str, float]) -> str:
+    """Aligned plain-text comparison table of ``evaluate_horizons``' document
+    (one line per model, with its milliseconds per test example), with the
     per-horizon breakdown underneath."""
     lines = []
     header = f"{'Model':<14}{'Accuracy':>10}{'F1 (overall)':>14}{'F1 (rare)':>11}{'ms/example':>12}"
     lines.append(header)
     lines.append("-" * len(header))
-    for rep in reports:
+    for rep in doc["models"]:
         lines.append(
-            f"{rep.model_name:<14}{rep.mean_accuracy:>10.4f}{rep.mean_overall_f1:>14.4f}"
-            f"{rep.mean_rare_f1:>11.4f}{rep.test_seconds_per_example * 1e3:>12.3f}"
+            f"{rep['model']:<14}{rep['mean_accuracy']:>10.4f}{rep['mean_overall_f1']:>14.4f}"
+            f"{rep['mean_rare_f1']:>11.4f}{seconds[rep['model']] * 1e3:>12.3f}"
         )
     lines.append("")
-    for rep in reports:
-        lines.append(f"{rep.model_name} per horizon (accuracy / overall F1 / rare F1):")
-        for r in rep.per_horizon:
-            lines.append(
-                f"  S={r.horizon.steps_ahead}: {r.accuracy:.4f} / {r.overall_f1:.4f} / {r.rare_f1:.4f}"
-            )
-        lines.append(f"  pooled accuracy: {rep.pooled_accuracy:.4f}")
+    for rep in doc["models"]:
+        lines.append(f"{rep['model']} per horizon (accuracy / overall F1 / rare F1):")
+        for r in rep["per_horizon"]:
+            lines.append(f"  S={r['steps_ahead']}: {r['accuracy']:.4f} / {r['overall_f1']:.4f} / {r['rare_f1']:.4f}")
+        lines.append(f"  pooled accuracy: {rep['pooled_accuracy']:.4f}")
     return "\n".join(lines) + "\n"

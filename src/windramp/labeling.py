@@ -8,7 +8,7 @@ and a feature row of the last L raw power values ending at each anchor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class LabeledDataset:
     targets: np.ndarray
     horizon: HorizonSpec
     thresholds: ThresholdSet
-    anchor_ts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    anchor_ts: np.ndarray
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -104,8 +104,7 @@ class LabeledDataset:
             raise DataError(
                 f"target ids must be in 1..{self.thresholds.num_classes}"
             )
-        ts = self.anchor_ts
-        ts = np.arange(X.shape[0], dtype=np.int64) if ts is None else np.ascontiguousarray(ts, dtype=np.int64)
+        ts = np.ascontiguousarray(self.anchor_ts, dtype=np.int64)
         if ts.shape != (X.shape[0],):
             raise DataError("anchor_ts length must match feature rows")
         for arr in (X, y, ts):

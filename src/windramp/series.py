@@ -113,7 +113,11 @@ def _parse_timestamp(text: str, line_no: int) -> int:
     else:
         if not value.is_integer():
             raise DataError(f"line {line_no}: fractional-second timestamp {text!r}")
-        return int(value)
+        # digits are read exactly: a float holds every integer only up to 2**53
+        seconds = int(text) if text.lstrip("+-").isdigit() else int(value)
+        if not -2**63 <= seconds < 2**63:
+            raise DataError(f"line {line_no}: timestamp {text!r} outside the int64 range")
+        return seconds
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:

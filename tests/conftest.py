@@ -52,6 +52,7 @@ def make_dataset(features, targets, thresholds=None, steps_ahead=1):
         targets=np.asarray(targets, dtype=np.int64),
         horizon=HorizonSpec(steps_ahead=steps_ahead, lag_count=features.shape[1]),
         thresholds=thresholds,
+        anchor_ts=np.arange(features.shape[0]),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -41,8 +42,9 @@ class TestPipeline:
         assert (out / "config.resolved.json").exists()
         assert not (out / "datasets").exists()
         assert not list((out / "models").iterdir())
+        assert [path.name for path in (out / "reports").iterdir()] == ["distribution.json"]
 
-    def test_train_runs_without_prepare(self, workspace):
+    def test_train_runs_without_prepare(self, workspace, capsys):
         assert main(workspace["argv"]("train")) == 0
         models = workspace["out"] / "models"
         for s in (1, 3):
@@ -50,9 +52,46 @@ class TestPipeline:
             record = json.loads((models / f"horizon_{s}.split.json").read_text())
             assert set(record) == {"seed", "test_fraction", "dataset_sha256"}
             assert (record["seed"], record["test_fraction"]) == (4, 0.2)
+        capsys.readouterr()
         assert main(workspace["argv"]("evaluate")) == 0
-        doc = json.loads((workspace["out"] / "reports" / "evaluation.json").read_text())
+        reports = workspace["out"] / "reports"
+        assert sorted(path.name for path in reports.iterdir()) == ["evaluation.json", "timing.json"]
+        doc = json.loads((reports / "evaluation.json").read_text())
         assert [m["model"] for m in doc["models"]] == ["gbrt", "persistence", "majority"]
+        timing = json.loads((reports / "timing.json").read_text())
+        assert list(timing["seconds_per_example"]) == ["gbrt", "majority", "persistence"]
+        # the table is printed from the two documents, not stored
+        out = capsys.readouterr().out
+        assert "pooled accuracy" in out and f"{doc['models'][0]['mean_accuracy']:.4f}" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(seed=-1),
+        lambda r: r.update(seed=1.7),
+        lambda r: r.update(seed=True),
+        lambda r: r.update(seed="1"),
+        lambda r: r.update(test_fraction=float("nan")),
+        lambda r: r.update(test_fraction=1.5),
+        lambda r: r.update(test_fraction=True),
+        lambda r: r.update(test_fraction="0.2"),
+        lambda r: r.update(dataset_sha256=5),
+        lambda r: r.pop("seed"),
+        lambda r: r.update(scheme="random"),
+        lambda r: r.clear(),
+    ], ids=["seed_negative", "seed_fractional", "seed_bool", "seed_string", "test_fraction_nan", "test_fraction_1.5",
+            "test_fraction_bool", "test_fraction_string", "digest_number", "missing_key", "extra_key", "empty"])
+    def test_malformed_split_record_exits_3(self, workspace, capsys, edit):
+        assert main(workspace["argv"]("train")) == 0
+        path = workspace["out"] / "models" / "horizon_1.split.json"
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(workspace["argv"]("evaluate")) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "data" and "malformed split record" in err["message"]
 
     def test_evaluate_without_model_exits_3(self, workspace, capsys):
         assert main(workspace["argv"]("evaluate")) == 3
@@ -71,9 +110,12 @@ class TestPipeline:
         (lambda ws: (ws["csv"].unlink(), ws["csv"].mkdir()), 3, "data"),
         (lambda ws: ws["csv"].write_bytes(b"timestamp,power_mw\n600,\xff\n"), 3, "data"),
         (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600," + "1" * 200_000 + "\n"), 3, "data"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n100000000000000000000,5\n"), 3, "data"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n1e20,5\n"), 3, "data"),
         (lambda ws: ws["config"].write_bytes(b'{"version": 1, "out": "\xff"}'), 2, "config"),
         (lambda ws: ws["config"].write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}"), 2, "config"),
-    ], ids=["missing_series", "directory_series", "non_utf8_series", "oversized_field", "non_utf8_config",
+    ], ids=["missing_series", "directory_series", "non_utf8_series", "oversized_field", "timestamp_beyond_int64",
+            "timestamp_1e20", "non_utf8_config",
             "deeply_nested_config"])
     def test_unreadable_input_exits_with_its_code(self, workspace, capsys, edit, code, kind):
         edit(workspace)
@@ -96,6 +138,23 @@ class TestPipeline:
             outputs.append({path.relative_to(out): path.read_bytes() for path in files})
         assert len(outputs[0]) == 1 + 3 + 6
         assert outputs[0] == outputs[1]
+
+    def test_reports_pinned(self, workspace):
+        """prepare, a grid train and evaluate write these exact report bytes.
+        The digests were recorded before the report layer was rewritten;
+        predictions go through numpy's exp/log, so they hold for one numpy
+        build and CPU."""
+        for stage, extra in (("prepare", ()), ("train", ("--grid", "1,3x2x2")), ("evaluate", ())):
+            assert main(workspace["argv"](stage, *extra)) == 0
+        reports = workspace["out"] / "reports"
+        digests = {name: hashlib.sha256((reports / name).read_bytes()).hexdigest() for name in (
+            "distribution.json", "grid_horizon_1.json", "grid_horizon_3.json", "evaluation.json")}
+        assert digests == {
+            "distribution.json": "1ee6197e77fb09427f2503647e9592ce927a5cd6abe643b46d94fa2c92679298",
+            "grid_horizon_1.json": "0c87a7a6a5e2e190436264169918ea008c019836587ac8068ef1c2d0f762dfe4",
+            "grid_horizon_3.json": "58e874a51f9c15b6b27cdcf5c92d7857c9851e6429d2c8a5d248fc66cbb2c6cb",
+            "evaluation.json": "7d7218f5f9215cb8ec51a7f2b695611986584420563ec7855b685cf33c6116bc",
+        }
 
     def test_no_grid_train_identical_across_workers(self, workspace, tmp_path):
         outputs = []
@@ -125,6 +184,18 @@ class TestPredict:
         proba = load_model(model_path).predict_proba(rows)
         assert [line["class"] for line in lines] == list(np.argmax(proba, axis=1) + 1)
         assert np.allclose([line["proba"] for line in lines], proba, atol=1e-6)
+
+    def test_mistyped_first_row_is_not_a_header(self, model_path, tmp_path, capsys):
+        # one cell that does not parse does not make line 1 a header: dropping
+        # it would shift every prediction by one row
+        src = tmp_path / "rows.csv"
+        src.write_text("\n".join(["1O" + ",10" * (LAGS - 1)] + [",".join(["10"] * LAGS)] * 2) + "\n")
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "data" and err["message"].startswith("line 1:")
 
     def test_nan_row_exits_3(self, model_path, tmp_path, capsys):
         src = tmp_path / "rows.csv"

@@ -14,7 +14,8 @@ from windramp import (
     stratified_split,
     train,
 )
-from windramp.evaluation import _aggregate, confusion, metrics, stratified_folds
+from windramp.baselines import majority_predict, persistence_predict
+from windramp.evaluation import confusion, metrics, stratified_folds
 from windramp.gbrt import serialize_model
 
 from .conftest import make_dataset
@@ -93,7 +94,7 @@ class TestMetrics:
         rng = np.random.default_rng(17)
         true = rng.integers(1, 5, size=300)
         pred = rng.integers(1, 5, size=300)
-        report = metrics(confusion(true, pred, 4))
+        report = metrics(confusion(true, pred, 4), rare_classes=(1, 4))
         assert report.accuracy == pytest.approx(np.mean(true == pred), abs=1e-12)
 
     def test_macro_f1_permutation_invariant(self):
@@ -111,7 +112,7 @@ class TestMetrics:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError):
-            metrics(confusion([], [], 4))
+            metrics(confusion([], [], 4), rare_classes=(1, 4))
 
 
 class TestStratifiedSplit:
@@ -199,8 +200,8 @@ class TestGridSearch:
         grid = ParamGrid(n_estimators_choices=(2, 3, 4), max_depth_choices=(1, 2, 3), folds=3)
         best, table, _ = fit_horizons([ds], grid, HyperParams(n_estimators=2, min_child_hessian=0.0), seed=0)[0]
         assert len(table) == 9
-        assert all(len(cell.fold_scores) == 3 for cell in table)
-        combos = {(c.n_estimators, c.max_depth) for c in table}
+        assert all(len(cell["fold_scores"]) == 3 for cell in table)
+        combos = {(c["n_estimators"], c["max_depth"]) for c in table}
         assert combos == {(a, b) for a in (2, 3, 4) for b in (1, 2, 3)}
 
     def test_single_combination(self):
@@ -225,7 +226,7 @@ class TestGridSearch:
         grid = ParamGrid(n_estimators_choices=(20,), max_depth_choices=(1, 2), folds=3)
         best, table, _ = fit_horizons([ds], grid, HyperParams(min_child_hessian=0.0), seed=0)[0]
         assert best.max_depth == 2
-        by_depth = {c.max_depth: c.mean_score for c in table}
+        by_depth = {c["max_depth"]: c["mean_score"] for c in table}
         # macro-F1 over 4 ids caps at 0.5 here (two ids never occur); depth 2
         # must approach the cap while depth-1 stumps stay clearly below it
         assert by_depth[2] > 0.45
@@ -249,8 +250,7 @@ class TestGridSearch:
         ds = self._xor_dataset(60)
         grid = ParamGrid(n_estimators_choices=(3, 2), max_depth_choices=(4, 3), folds=2)
         best, table, _ = fit_horizons([ds], grid, HyperParams(min_child_hessian=0.0), seed=0)[0]
-        scores = {(\
-            c.n_estimators, c.max_depth): c.mean_score for c in table}
+        scores = {(c["n_estimators"], c["max_depth"]): c["mean_score"] for c in table}
         top = max(scores.values())
         tied = sorted(k for k, v in scores.items() if v == top)
         assert (best.n_estimators, best.max_depth) == tied[0]
@@ -273,31 +273,57 @@ class TestMultiHorizon:
     def test_mean_of_constant_f1(self):
         wps = generate_series(600, seed=2)
         triples = self._triples(wps, (1, 2, 3))
-        reports = evaluate_horizons(wps, iter(triples))
-        assert [r.model_name for r in reports] == ["gbrt", "persistence", "majority"]
-        for report in reports:
-            f1s = [r.overall_f1 for r in report.per_horizon]
-            accs = [r.accuracy for r in report.per_horizon]
-            assert report.mean_overall_f1 == pytest.approx(np.mean(f1s), abs=1e-12)
-            assert report.mean_accuracy == pytest.approx(np.mean(accs), abs=1e-12)
-            assert [r.horizon.steps_ahead for r in report.per_horizon] == [1, 2, 3]
-            assert report.test_seconds_per_example >= 0.0
-            assert "test_seconds_per_example" not in report.to_dict()
-        gbrt, _, majority = reports
-        for (model, _, test), got in zip(triples, gbrt.per_horizon):
-            counts = confusion(test.targets, model.predict_class(test.features), test.num_classes)
-            assert got == metrics(counts, (1, 4), test.horizon)
+        doc, seconds = evaluate_horizons(wps, iter(triples))
+        names = ["gbrt", "persistence", "majority"]
+        assert [entry["model"] for entry in doc["models"]] == names
+        # wall-clock stays out of the document
+        assert set(doc) == {"models"}
+        assert all(set(entry) == {"model", "mean_accuracy", "mean_overall_f1", "mean_rare_f1", "pooled_accuracy",
+                                  "per_horizon"} for entry in doc["models"])
+        assert list(seconds) == names and min(seconds.values()) >= 0.0
+        predictions = {
+            "gbrt": lambda model, _, test: (test.targets, model.predict_class(test.features)),
+            "persistence": lambda _, __, test: persistence_predict(wps, test),
+            "majority": lambda _, train_ds, test: (test.targets, majority_predict(train_ds.targets, len(test))),
+        }
+        for entry in doc["models"]:
+            counts = [confusion(*predictions[entry["model"]](*triple), 4) for triple in triples]
+            assert [r["steps_ahead"] for r in entry["per_horizon"]] == [1, 2, 3]
+            assert entry["per_horizon"] == [{**metrics(c, (1, 4)).to_dict(), "steps_ahead": s}
+                                            for c, s in zip(counts, (1, 2, 3))]
+            for key in ("accuracy", "overall_f1", "rare_f1"):
+                means = np.mean([r[key] for r in entry["per_horizon"]])
+                assert entry[f"mean_{key}"] == pytest.approx(means, abs=1e-12)
+            pooled = np.sum(counts, axis=0)
+            assert entry["pooled_accuracy"] == pytest.approx(np.trace(pooled) / pooled.sum(), abs=1e-12)
         # majority predicts one class, so at most one class has non-zero F1
-        assert all(sum(f > 0 for f in r.f1) <= 1 for r in majority.per_horizon)
+        majority = doc["models"][2]
+        assert all(sum(c["f1"] > 0 for c in r["per_class"].values()) <= 1 for r in majority["per_horizon"])
+
+    class _Fixed:
+        """Stands in for a model: predicts the given classes."""
+
+        n_features, num_classes = 4, 4
+
+        def __init__(self, classes):
+            self.classes = classes
+
+        def predict_class(self, features):
+            return self.classes
 
     def test_two_point_mean(self):
-        counts_a = confusion([1, 1, 2, 2], [1, 1, 2, 2], 4)  # accuracy 1.0
-        counts_b = confusion([1, 1, 2, 2], [1, 2, 1, 2], 4)  # accuracy 0.5
-        rep = _aggregate(
-            [metrics(counts_a, (1, 4)), metrics(counts_b, (1, 4))], [counts_a, counts_b], "gbrt", 0.0
-        )
-        assert rep.mean_accuracy == pytest.approx(0.75, abs=1e-12)
-        assert rep.pooled_accuracy == pytest.approx(0.75, abs=1e-12)
+        # all right on one horizon, half right on a larger one: the mean over
+        # horizons weights them equally, the pooled accuracy by their rows
+        wps = generate_series(600, seed=2)
+        (_, train_a, test_a), (_, train_b, test_b) = self._triples(wps, (1, 2))
+        half = len(test_b) // 2
+        guesses = np.concatenate([test_b.targets[:half], np.where(test_b.targets[half:] == 1, 2, 1)])
+        doc, _ = evaluate_horizons(wps, [(self._Fixed(test_a.targets), train_a, test_a),
+                                         (self._Fixed(guesses), train_b, test_b)])
+        gbrt = doc["models"][0]
+        assert [r["accuracy"] for r in gbrt["per_horizon"]] == [1.0, half / len(test_b)]
+        assert gbrt["mean_accuracy"] == pytest.approx((1.0 + half / len(test_b)) / 2, abs=1e-12)
+        assert gbrt["pooled_accuracy"] == pytest.approx((len(test_a) + half) / (len(test_a) + len(test_b)), abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         wps = generate_series(400, seed=2)

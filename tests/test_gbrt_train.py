@@ -122,7 +122,7 @@ def grid_parts():
 
 def fits_as_bytes(fits) -> list:
     """Each part's (winning params, CV table JSON, final model document)."""
-    return [(best, json.dumps([cell.to_dict() for cell in table]), serialize_model(model))
+    return [(best, json.dumps(table), serialize_model(model))
             for best, table, model in fits]
 
 

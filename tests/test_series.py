@@ -87,6 +87,21 @@ def test_malformed_row_reports_line_number(tmp_path):
         load_text(tmp_path, text)
 
 
+@pytest.mark.parametrize("timestamp", ["100000000000000000000", "1e20", "-1e20", "9223372036854775808"])
+def test_timestamp_outside_int64_rejected(tmp_path, timestamp):
+    text = f"timestamp,power_mw\n600,1.0\n{timestamp},5\n"
+    with pytest.raises(DataError, match="line 3: .*int64"):
+        load_text(tmp_path, text)
+
+
+def test_integer_timestamps_read_exactly(tmp_path):
+    # past 2**53 a float rounds: 2**53 + 1 would load as 2**53
+    wps, _ = load_text(tmp_path, "timestamp,power_mw\n9007199254740993,1.0\n9007199254741593,2.0\n")
+    assert wps.timestamps.tolist() == [2**53 + 1, 2**53 + 601]
+    wps, _ = load_text(tmp_path, "timestamp,power_mw\n9223372036854775207,1.0\n9223372036854775807,2.0\n")
+    assert wps.timestamps.tolist() == [2**63 - 601, 2**63 - 1]
+
+
 def test_sub_resolution_stride_rejected(tmp_path):
     text = "timestamp,power_mw\n600,1.0\n900,2.0\n"
     with pytest.raises(DataError, match="less than the declared resolution"):
