@@ -12,13 +12,16 @@ document, written once as it was built (sorted keys, 2-space indent):
   prints one summary line of what it read.
 - ``train`` writes ``config.resolved.json``, and per horizon S
   ``models/horizon_S.model.json``, the split record
-  ``models/horizon_S.split.json`` (seed, test fraction, dataset sha256)
-  and, with a grid, ``reports/grid_horizon_S.json`` (the winning pair and
-  the CV table). It runs every horizon's grid and final fits on one pool of
-  ``--workers`` processes, then writes the outputs in horizon order, and
-  prints one line per horizon.
-- ``evaluate`` re-runs each recorded split, refusing a model whose series
-  has changed since or whose split record is malformed, and writes
+  ``models/horizon_S.split.json`` and, with a grid,
+  ``reports/grid_horizon_S.json`` (the winning pair and the CV table). The
+  split record holds exactly ``seed``, ``test_fraction`` and
+  ``split_sha256``: the sha256 of the train part's and then the test part's
+  features, targets and anchor timestamps. It runs every horizon's grid and
+  final fits on one pool of ``--workers`` processes, then writes the outputs
+  in horizon order, and prints one line per horizon.
+- ``evaluate`` re-runs each recorded split and refuses it (exit 3) when the
+  record is malformed or the rows it deals no longer match ``split_sha256``,
+  whether the series, the labeling config or the record changed. It writes
   ``reports/evaluation.json`` (the deterministic scores) and
   ``reports/timing.json`` (wall-clock seconds per example). It prints the
   comparison table, which is rendered from those two and not stored.
@@ -256,10 +259,12 @@ def _build_dataset(cfg: dict, wps: series.WindPowerSeries, thresholds, s: int) -
     return labeling.build_dataset(wps, horizon, thresholds)
 
 
-def _dataset_sha256(ds: labeling.LabeledDataset) -> str:
+def _split_sha256(train_ds: labeling.LabeledDataset, test_ds: labeling.LabeledDataset) -> str:
+    """sha256 of the train part's and then the test part's rows."""
     digest = hashlib.sha256()
-    for arr in (ds.features, ds.targets, ds.anchor_ts):
-        digest.update(arr.tobytes())
+    for ds in (train_ds, test_ds):
+        for arr in (ds.features, ds.targets, ds.anchor_ts):
+            digest.update(arr)  # a dataset's arrays are C-contiguous: hashed in place, not copied
     return digest.hexdigest()
 
 
@@ -298,13 +303,14 @@ def cmd_train(cfg: dict) -> int:
     )
     wps, _ = _load_series(cfg)
     thresholds = _thresholds(cfg)
-    # keep only each horizon's train part and dataset digest, not the datasets
+    # keep only each horizon's train part and split digest, not the datasets
     parts, digests = [], []
     for s in cfg["horizons"]:
-        ds = _build_dataset(cfg, wps, thresholds, s)
-        parts.append(evaluation.stratified_split(ds, cfg["test_fraction"], seed)[0])
-        digests.append(_dataset_sha256(ds))
-        del ds
+        train_ds, test_ds = evaluation.stratified_split(_build_dataset(cfg, wps, thresholds, s),
+                                                        cfg["test_fraction"], seed)
+        parts.append(train_ds)
+        digests.append(_split_sha256(train_ds, test_ds))
+        del test_ds
     fits = evaluation.fit_horizons(parts, grid, fixed, seed=seed, workers=cfg["workers"])
     for s, train_ds, digest, (params, table, model) in zip(cfg["horizons"], parts, digests, fits):
         if grid:
@@ -314,7 +320,7 @@ def cmd_train(cfg: dict) -> int:
             })
         gbrt.save_model(model, _model_path(dirs, s))
         _write_json(_split_path(dirs, s),
-                    {"seed": seed, "test_fraction": cfg["test_fraction"], "dataset_sha256": digest})
+                    {"seed": seed, "test_fraction": cfg["test_fraction"], "split_sha256": digest})
         print(
             f"horizon S={s}: trained n_estimators={params.n_estimators} "
             f"max_depth={params.max_depth} on {len(train_ds)} rows -> {_model_path(dirs, s)}"
@@ -323,7 +329,8 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
-    """Re-run the split recorded by ``train`` on the rebuilt dataset."""
+    """Re-run the split recorded by ``train`` on the rebuilt dataset, and
+    refuse it unless it deals the very rows the model was trained beside."""
     path = _split_path(dirs, s)
     if not path.exists():
         raise DataError(f"split record {path} missing; run `windramp train` first")
@@ -332,21 +339,22 @@ def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
         record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
         raise DataError(f"{malformed}: {exc}") from exc
-    if not isinstance(record, dict) or set(record) != {"seed", "test_fraction", "dataset_sha256"} \
-            or not isinstance(record["dataset_sha256"], str):
-        raise DataError(f"{malformed}: expected exactly the keys seed, test_fraction and dataset_sha256 (a string)")
+    if not isinstance(record, dict) or set(record) != {"seed", "test_fraction", "split_sha256"} \
+            or not isinstance(record["split_sha256"], str):
+        raise DataError(f"{malformed}: expected exactly the keys seed, test_fraction and split_sha256 (a string)")
     try:  # the config's rules for the two values the record repeats
         seed = _number("seed", record["seed"], *_SCALARS["seed"])
         test_fraction = _number("test_fraction", record["test_fraction"], *_SCALARS["test_fraction"])
     except ConfigError as exc:
         raise DataError(f"{malformed}: {exc}") from exc
-    if record["dataset_sha256"] != _dataset_sha256(ds):
+    parts = evaluation.stratified_split(ds, test_fraction, seed)
+    if record["split_sha256"] != _split_sha256(*parts):
         raise DataError(
-            f"horizon S={s}: the dataset rebuilt from the series differs from the one "
-            "the model was trained on; the series or labeling config changed since "
-            "`windramp train`"
+            f"horizon S={s}: the split rebuilt from the series and {path.name} differs from "
+            "the one the model was trained on; the series, the labeling config or the split "
+            "record changed since `windramp train`"
         )
-    return evaluation.stratified_split(ds, test_fraction, seed)
+    return parts
 
 
 def cmd_evaluate(cfg: dict) -> int:

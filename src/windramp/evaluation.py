@@ -3,6 +3,10 @@ final model) on one process pool, the metric suite, and the scoring of a
 GBRT against the persistence and majority baselines. The pool runs
 processes, not threads: trees grow by short numpy calls that hold the GIL.
 
+The stratified test split and the stratified CV folds come from one
+allocator: ``_largest_remainder`` sizes each class's parts, and ``_deal``
+shuffles each class's rows with one seeded generator and deals them out.
+
 Scoring passes around one read-only k x k int64 count array (``confusion``).
 ``metrics`` reads every class off it at once: the diagonal over the column
 and row sums gives one-vs-rest precision and recall, their F1 is averaged
@@ -114,98 +118,66 @@ def metrics(counts: np.ndarray, rare_classes: tuple[int, ...]) -> MetricsReport:
     )
 
 
-def _per_class_test_counts(counts: np.ndarray, test_fraction: float) -> np.ndarray:
-    """Largest-remainder allocation of round(fraction*n) test slots across
-    classes; remainder ties go to the lower class id."""
-    n = int(counts.sum())
-    total_test = int(round(test_fraction * n))
-    exact = test_fraction * counts
-    alloc = np.floor(exact).astype(np.int64)
-    alloc = np.minimum(alloc, counts)
-    deficit = total_test - int(alloc.sum())
-    if deficit > 0:
-        remainders = exact - np.floor(exact)
-        # stable sort on -remainder keeps lower class id first among ties
-        order = np.argsort(-remainders, kind="stable")
-        for c in order:
-            if deficit == 0:
-                break
-            if alloc[c] < counts[c]:
-                alloc[c] += 1
-                deficit -= 1
-    return alloc
+def _largest_remainder(exact: np.ndarray, total, cap) -> np.ndarray:
+    """Integer sizes along the last axis of ``exact`` that add up to ``total``:
+    each floor (at most ``cap``), plus one for the largest remainders below
+    their cap, ties to the earlier entry."""
+    floor = np.floor(exact)
+    sizes = np.minimum(floor.astype(np.int64), cap)
+    order = np.argsort(floor - exact, axis=-1, kind="stable")
+    is_open = np.take_along_axis(sizes < cap, order, axis=-1)
+    bump = is_open & (np.cumsum(is_open, axis=-1) <= np.expand_dims(total - sizes.sum(axis=-1), -1))
+    np.put_along_axis(sizes, order, np.take_along_axis(sizes, order, axis=-1) + bump, axis=-1)
+    return sizes
 
 
-def stratified_split(
-    dataset: LabeledDataset,
-    test_fraction: float,
-    seed: int,
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Deterministic stratified shuffle split into (train, test).
+def _deal(targets: np.ndarray, sizes: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Sorted row positions of each part. One ``default_rng(seed)`` shuffles
+    each present class's rows in ascending class order, and the shuffled rows
+    are dealt in part order: ``sizes[c-1, p]`` rows of class c to part p."""
+    rng = np.random.default_rng(seed)
+    part_of = np.empty(targets.size, dtype=np.int64)
+    for c in np.flatnonzero(np.bincount(targets)):
+        idx = np.flatnonzero(targets == c)
+        part_of[idx[rng.permutation(idx.size)]] = np.repeat(np.arange(sizes.shape[1]), sizes[c - 1])
+    return [np.flatnonzero(part_of == p) for p in range(sizes.shape[1])]
 
-    Per-class test counts come from largest-remainder rounding, so each
-    class's proportion in both parts is within one instance of the overall
-    proportion. A class with a single instance is reported and forced into
-    the train part.
-    """
+
+def stratified_split(dataset: LabeledDataset, test_fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """Deterministic stratified shuffle split into (train, test). ``_deal``
+    gives each class's first rows to test: round(fraction * n) rows shared
+    among the classes by largest remainder (ties to the lower class id), so
+    each class's test share is within one row of the fraction. A class with
+    a single instance is reported and kept in train."""
     if not (0 < test_fraction < 1):
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n = len(dataset)
-    if n == 0:
+    if len(dataset) == 0:
         raise DataError("cannot split an empty dataset")
-    y = dataset.targets
-    rng = np.random.default_rng(seed)
-    counts = np.bincount(y, minlength=dataset.num_classes + 1)[1:]
+    counts = np.bincount(dataset.targets, minlength=dataset.num_classes + 1)[1:]
     singles = np.flatnonzero(counts == 1) + 1
     if singles.size:
-        logger.warning(
-            "classes %s have a single instance; assigning to train", singles.tolist()
-        )
-    eligible = counts.copy()
-    eligible[singles - 1] = 0
-    alloc = _per_class_test_counts(eligible, test_fraction)
-
-    test_parts = []
-    train_parts = []
-    for c in range(1, dataset.num_classes + 1):
-        idx = np.flatnonzero(y == c)
-        if idx.size == 0:
-            continue
-        perm = idx[rng.permutation(idx.size)]
-        k = int(alloc[c - 1])
-        test_parts.append(perm[:k])
-        train_parts.append(perm[k:])
-    test_rows = np.sort(np.concatenate(test_parts)) if test_parts else np.array([], dtype=np.int64)
-    train_rows = np.sort(np.concatenate(train_parts))
+        logger.warning("classes %s have a single instance; assigning to train", singles.tolist())
+    eligible = np.where(counts == 1, 0, counts)
+    test = _largest_remainder(test_fraction * eligible, round(test_fraction * int(eligible.sum())), eligible)
+    test_rows, train_rows = _deal(dataset.targets, np.column_stack([test, counts - test]), seed)
     return dataset.select(train_rows), dataset.select(test_rows)
 
 
 def stratified_folds(targets: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """k stratified folds of row positions (sorted within each fold).
-
-    Classes with fewer than k instances get spread over the first folds;
-    the split degrades rather than fails, mirroring stratified_split.
-    """
+    """k stratified folds of sorted row positions. ``_deal`` shares each
+    class's rows among the folds in order by largest remainder, ties to the
+    lower fold (the sizes ``np.array_split`` gives), so a class with fewer
+    than k rows fills the first folds. A fold left empty is an error."""
     if k < 2:
         raise ConfigError(f"folds must be >= 2, got {k}")
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size < k:
         raise DataError(f"cannot build {k} folds from {targets.size} rows")
-    rng = np.random.default_rng(seed)
-    folds: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for c in np.unique(targets):
-        idx = np.flatnonzero(targets == c)
-        perm = idx[rng.permutation(idx.size)]
-        for f, chunk in enumerate(np.array_split(perm, k)):
-            if chunk.size:
-                folds[f].append(chunk)
-    out = []
-    for parts in folds:
-        rows = np.sort(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
-        if rows.size == 0:
-            raise DataError(f"{k} folds are infeasible: a fold came out empty")
-        out.append(rows)
-    return out
+    counts = np.bincount(targets)[1:, None]
+    folds = _deal(targets, _largest_remainder(np.repeat(counts / k, k, axis=1), counts[:, 0], counts), seed)
+    if any(rows.size == 0 for rows in folds):
+        raise DataError(f"{k} folds are infeasible: a fold came out empty")
+    return folds
 
 
 @dataclass(frozen=True)

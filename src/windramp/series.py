@@ -85,9 +85,6 @@ class WindPowerSeries:
 
 
 def _validate_points(ts: np.ndarray, pw: np.ndarray, capacity: float) -> None:
-    if np.any(ts <= 0):
-        bad = int(ts[ts <= 0][0])
-        raise DataError(f"timestamps must be strictly positive, got {bad}")
     if not np.all(np.isfinite(pw)):
         i = int(np.flatnonzero(~np.isfinite(pw))[0])
         raise DataError(f"non-finite power at timestamp {int(ts[i])}")
@@ -109,8 +106,8 @@ def _parse_timestamp(text: str, line_no: int) -> int:
     try:
         value = float(text)
     except ValueError:
-        pass
-    else:
+        value = math.nan  # not a number: try ISO-8601, as for nan and inf
+    if math.isfinite(value):
         if not value.is_integer():
             raise DataError(f"line {line_no}: fractional-second timestamp {text!r}")
         # digits are read exactly: a float holds every integer only up to 2**53
@@ -132,6 +129,9 @@ def _parse_timestamp(text: str, line_no: int) -> int:
 
 def _split_segments(ts: np.ndarray, resolution_s: int) -> tuple[tuple[int, int], ...]:
     """[start, stop) of each run of timestamps ``resolution_s`` apart."""
+    # all positive, so no stride wraps around int64
+    if np.any(ts <= 0):
+        raise DataError(f"timestamps must be strictly positive, got {int(ts[ts <= 0][0])}")
     deltas = np.diff(ts)
     if np.any(deltas == 0):
         dups = np.unique(ts[1:][deltas == 0])[:10].tolist()

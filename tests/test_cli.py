@@ -50,7 +50,7 @@ class TestPipeline:
         for s in (1, 3):
             assert load_model(models / f"horizon_{s}.model.json").n_features == LAGS
             record = json.loads((models / f"horizon_{s}.split.json").read_text())
-            assert set(record) == {"seed", "test_fraction", "dataset_sha256"}
+            assert set(record) == {"seed", "test_fraction", "split_sha256"}
             assert (record["seed"], record["test_fraction"]) == (4, 0.2)
         capsys.readouterr()
         assert main(workspace["argv"]("evaluate")) == 0
@@ -73,12 +73,14 @@ class TestPipeline:
         lambda r: r.update(test_fraction=1.5),
         lambda r: r.update(test_fraction=True),
         lambda r: r.update(test_fraction="0.2"),
-        lambda r: r.update(dataset_sha256=5),
+        lambda r: r.update(split_sha256=5),
+        lambda r: r.update(dataset_sha256=r.pop("split_sha256")),
         lambda r: r.pop("seed"),
         lambda r: r.update(scheme="random"),
         lambda r: r.clear(),
     ], ids=["seed_negative", "seed_fractional", "seed_bool", "seed_string", "test_fraction_nan", "test_fraction_1.5",
-            "test_fraction_bool", "test_fraction_string", "digest_number", "missing_key", "extra_key", "empty"])
+            "test_fraction_bool", "test_fraction_string", "digest_number", "dataset_digest_key", "missing_key",
+            "extra_key", "empty"])
     def test_malformed_split_record_exits_3(self, workspace, capsys, edit):
         assert main(workspace["argv"]("train")) == 0
         path = workspace["out"] / "models" / "horizon_1.split.json"
@@ -93,6 +95,21 @@ class TestPipeline:
         err = json.loads(lines[0])
         assert err["error"] == "data" and "malformed split record" in err["message"]
 
+    def test_evaluate_after_split_seed_edited_exits_3(self, workspace, capsys):
+        """A valid seed other than the recorded one deals other rows; scoring
+        them would score training rows, so the record's digest refuses it."""
+        assert main(workspace["argv"]("train")) == 0
+        path = workspace["out"] / "models" / "horizon_1.split.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "seed": record["seed"] + 1}))
+        capsys.readouterr()
+        assert main(workspace["argv"]("evaluate")) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "data" and "S=1" in err["message"] and "changed" in err["message"]
+
     def test_evaluate_without_model_exits_3(self, workspace, capsys):
         assert main(workspace["argv"]("evaluate")) == 3
         err = error_line(capsys)
@@ -105,22 +122,31 @@ class TestPipeline:
         err = error_line(capsys)
         assert err["error"] == "data" and "changed" in err["message"]
 
-    @pytest.mark.parametrize("edit, code, kind", [
-        (lambda ws: ws["csv"].unlink(), 3, "data"),
-        (lambda ws: (ws["csv"].unlink(), ws["csv"].mkdir()), 3, "data"),
-        (lambda ws: ws["csv"].write_bytes(b"timestamp,power_mw\n600,\xff\n"), 3, "data"),
-        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600," + "1" * 200_000 + "\n"), 3, "data"),
-        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n100000000000000000000,5\n"), 3, "data"),
-        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n1e20,5\n"), 3, "data"),
-        (lambda ws: ws["config"].write_bytes(b'{"version": 1, "out": "\xff"}'), 2, "config"),
-        (lambda ws: ws["config"].write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}"), 2, "config"),
+    @pytest.mark.parametrize("edit, code, kind, reason", [
+        (lambda ws: ws["csv"].unlink(), 3, "data", "cannot read series file"),
+        (lambda ws: (ws["csv"].unlink(), ws["csv"].mkdir()), 3, "data", "cannot read series file"),
+        (lambda ws: ws["csv"].write_bytes(b"timestamp,power_mw\n600,\xff\n"), 3, "data", "cannot read series file"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600," + "1" * 200_000 + "\n"), 3, "data",
+         "cannot read series file"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n100000000000000000000,5\n"), 3, "data", "int64"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n1e20,5\n"), 3, "data", "int64"),
+        # the stride between these two would wrap around int64
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n-9000000000000000000,1.0\n9000000000000000000,2.0\n"),
+         3, "data", "strictly positive, got -9000000000000000000"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\nnan,5\n"), 3, "data", "line 2: unparseable timestamp"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600,1.0\ninf,5\n"), 3, "data",
+         "line 3: unparseable timestamp"),
+        (lambda ws: ws["config"].write_bytes(b'{"version": 1, "out": "\xff"}'), 2, "config", "cannot read config file"),
+        (lambda ws: ws["config"].write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}"), 2, "config",
+         "not valid JSON"),
     ], ids=["missing_series", "directory_series", "non_utf8_series", "oversized_field", "timestamp_beyond_int64",
-            "timestamp_1e20", "non_utf8_config",
+            "timestamp_1e20", "timestamps_whose_stride_wraps", "timestamp_nan", "timestamp_inf", "non_utf8_config",
             "deeply_nested_config"])
-    def test_unreadable_input_exits_with_its_code(self, workspace, capsys, edit, code, kind):
+    def test_unreadable_input_exits_with_its_code(self, workspace, capsys, edit, code, kind, reason):
         edit(workspace)
         assert main(workspace["argv"]("train")) == code
-        assert error_line(capsys)["error"] == kind
+        err = error_line(capsys)
+        assert err["error"] == kind and reason in err["message"]
 
     def test_evaluation_identical_across_workers(self, workspace, tmp_path):
         """Every model and split file, every grid report and the evaluation

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -188,6 +191,55 @@ class TestStratifiedFolds:
         a = stratified_folds(targets, 5, seed=7)
         b = stratified_folds(targets, 5, seed=7)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _shuffled_targets(class_counts: list[int]) -> np.ndarray:
+    """Class ids 1, 2, ... with the given counts, interleaved by a fixed shuffle."""
+    targets = np.repeat(np.arange(1, len(class_counts) + 1), class_counts)
+    return targets[np.random.default_rng(0).permutation(targets.size)]
+
+
+def _rows_sha256(parts: list[np.ndarray]) -> str:
+    return hashlib.sha256(json.dumps([np.asarray(p).tolist() for p in parts]).encode()).hexdigest()[:16]
+
+
+def test_dealt_rows_pinned():
+    """The exact rows each part of the split and of the CV folds receives.
+    Recorded before the two samplers became one allocator; a change here
+    moves every model and every score."""
+    split_cases = {
+        "single_instance": ([1, 10, 9, 6], 0.3, 2),  # round(0.3 * 25) = round(7.5) = 8
+        "absent_class": ([7, 0, 12, 5], 0.25, 3),
+        "half_of_19": ([5, 8, 4, 2], 0.5, 4),  # round(9.5) = 10
+        "half_of_21": ([5, 9, 5, 2], 0.5, 5),  # round(10.5) = 10
+        "fifth": ([37, 211, 149, 23], 0.2, 6),
+        "quarter": ([13, 29, 17, 11], 0.25, 7),
+    }
+    fold_cases = {
+        "k3_class_below_k": ([2, 17, 11, 4], 3, 8),
+        "k5_classes_below_k": ([2, 17, 11, 4], 5, 9),
+        "k5_single_and_absent": ([1, 0, 23, 12], 5, 10),
+        "k3_absent": ([0, 40, 31, 9], 3, 11),
+    }
+    got = {}
+    for name, (counts, fraction, seed) in split_cases.items():
+        train_ds, test_ds = stratified_split(make_dataset(np.zeros((sum(counts), 1)), _shuffled_targets(counts)),
+                                             fraction, seed)
+        got[name] = _rows_sha256([train_ds.anchor_ts, test_ds.anchor_ts])
+    for name, (counts, k, seed) in fold_cases.items():
+        got[name] = _rows_sha256(stratified_folds(_shuffled_targets(counts), k, seed))
+    assert got == {
+        "single_instance": "a9009a94d5a7b7a6",
+        "absent_class": "90678e5d507b1099",
+        "half_of_19": "01d5d451c17fb857",
+        "half_of_21": "33717c6dcf7b0159",
+        "fifth": "e60a7a30f6b97eaa",
+        "quarter": "991530c3fe95fedb",
+        "k3_class_below_k": "49553ef352bb6652",
+        "k5_classes_below_k": "2c6b74e59f0c264c",
+        "k5_single_and_absent": "ea559d107e672fa7",
+        "k3_absent": "b7a6f6d618efcc05",
+    }
 
 
 class TestGridSearch:

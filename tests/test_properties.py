@@ -1,4 +1,4 @@
-"""Property tests: labeling, series round trip, split proportions, tree
+"""Property tests: labeling, series round trip, split and fold proportions, tree
 growth and the stacked-tree walker against per-node and per-row oracles,
 and the predict command on fuzzed model documents.
 
@@ -12,12 +12,15 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windramp import HyperParams, ThresholdSet, WindPowerSeries, load_series, stratified_split, train, write_series
+from windramp import (DataError, HyperParams, ThresholdSet, WindPowerSeries, load_series, stratified_split, train,
+                      write_series)
 from windramp import gbrt
 from windramp.cli import main
+from windramp.evaluation import stratified_folds
 from windramp.gbrt import bin_columns, deserialize_model, grow_tree, serialize_model, softmax
 from windramp.labeling import assign_classes
 
@@ -85,8 +88,11 @@ def test_series_round_trip_bit_for_bit(tmp_path_factory, wps):
     counts=st.lists(st.integers(0, 80), min_size=2, max_size=6).filter(lambda c: sum(c) >= 2),
     test_fraction=st.floats(min_value=0.01, max_value=0.99),
     seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 5),
 )
-def test_stratified_split_share_within_one_row(counts, test_fraction, seed):
+def test_stratified_split_share_within_one_row(counts, test_fraction, seed, k):
+    """The test part holds each class's share to within one row, and k folds
+    share each class's rows to within one row, larger shares first."""
     targets = np.repeat(np.arange(1, len(counts) + 1), counts)
     ds = make_dataset(np.zeros((targets.size, 1)), targets, ThresholdSet((1.0, 2.0)))
     train_ds, test_ds = stratified_split(ds, test_fraction, seed)
@@ -94,6 +100,18 @@ def test_stratified_split_share_within_one_row(counts, test_fraction, seed):
     for c, n_c in enumerate(counts, start=1):
         in_test = int(np.sum(test_ds.targets == c))
         assert abs(in_test - test_fraction * n_c) <= 1.0, (c, n_c, in_test)
+
+    # a class of at least k rows puts one in every fold; with none, the last fold is empty
+    if max(counts) < k:
+        with pytest.raises(DataError):
+            stratified_folds(targets, k, seed)
+        return
+    folds = stratified_folds(targets, k, seed)
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(targets.size))
+    for c in range(1, len(counts) + 1):
+        per_fold = [int(np.sum(targets[rows] == c)) for rows in folds]
+        assert max(per_fold) - min(per_fold) <= 1, (c, per_fold)
+        assert per_fold == sorted(per_fold, reverse=True), (c, per_fold)
 
 
 @st.composite
