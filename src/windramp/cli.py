@@ -1,9 +1,10 @@
 """Batch pipeline with four commands: prepare, train, evaluate and predict.
 
 Configuration comes from a JSON file (``--config``) with flags overriding
-individual fields. ``resolve_config`` merges the two over the defaults and
-checks each value once there, whichever source it came from; the commands
-read the values as checked. ``train`` and ``evaluate`` rebuild each
+individual fields. One table, ``_SETTINGS``, declares each setting once:
+key, flag, default, reader and check. ``resolve_config`` reads each flag's
+text with its key's reader, then checks every value with its key's check,
+whichever source it came from. ``train`` and ``evaluate`` rebuild each
 horizon's labeled dataset from the series in memory. Every report is a JSON
 document, written once as it was built (sorted keys, 2-space indent):
 
@@ -34,40 +35,19 @@ model error. Errors print one JSON line to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import copy
 import hashlib
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, gbrt, labeling, series
-from .errors import ConfigError, DataError, ModelFormatError, TrainingError, WindRampError
+from .errors import ConfigError, DataError, ModelFormatError, TrainingError, WindRampError, check_number
 
 CONFIG_VERSION = 1
-
-_DEFAULT_CONFIG = {
-    "version": CONFIG_VERSION,
-    "data": {
-        "path": None,
-        "timestamp_column": "timestamp",
-        "power_column": "power_mw",
-        "delimiter": ",",
-    },
-    "resolution_s": 600,
-    "rated_capacity_mw": None,
-    "threshold_fraction": 0.5,
-    "thresholds_mw": None,
-    "horizons": [1, 2, 3, 4, 5, 6],
-    "lag_count": 36,
-    "test_fraction": 0.2,
-    "seed": 0,
-    "workers": 1,
-    "out": "out",
-    "hyperparams": {},
-    "grid": None,
-}
 
 
 def _read_config_file(path) -> dict:
@@ -77,10 +57,11 @@ def _read_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    _object("config", doc, _DEFAULT_CONFIG)
+    _object("config", doc, ["version", "data", *(key for key in _SETTINGS if "." not in key)])
     version = doc.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}")
+    doc["data"] = _object("data", doc.get("data", {}), [key.partition(".")[2] for key in _SETTINGS if "." in key])
     return doc
 
 
@@ -98,40 +79,24 @@ def _parse_grid_spec(text: str) -> dict:
     return grid
 
 
-# flags whose text stands for a list or a grid; each parser raises ValueError
-_FLAG_PARSERS = {
-    "thresholds_mw": lambda text: [float(v) for v in text.split(",")],
-    "horizons": lambda text: [int(v) for v in text.split(",")],
-    "grid": _parse_grid_spec,
-}
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- flags. Each flag's dest is the config key it
-    sets. Every value is checked once here, whichever source it came from, and
-    stored as the type the commands read."""
-    cfg = json.loads(json.dumps(_DEFAULT_CONFIG))
-    if args.config:
-        doc = _read_config_file(args.config)
-        cfg["data"].update(_object("data", doc.pop("data", {}), cfg["data"]))
-        cfg.update(doc)
-
+    """Defaults <- config file <- flags, as the types the commands read. A
+    flag's dest is the last part of its key (``data.path`` -> ``path``)."""
+    doc = _read_config_file(args.config) if args.config else {"data": {}}
     flags = vars(args)
-    # in _DEFAULT_CONFIG's order: --threshold-mw lands after --threshold-fraction clears it
-    for key in (*cfg["data"], *cfg):
-        value = flags.get(key)
-        if value is None:
-            continue
-        if key in _FLAG_PARSERS:
+    if flags["threshold_fraction"] is not None:  # the flag also overrides the file's absolute thresholds
+        doc.pop("thresholds_mw", None)
+    cfg = {"version": CONFIG_VERSION, "data": {}}
+    for key, setting in _SETTINGS.items():
+        section, _, name = key.rpartition(".")
+        value = (doc[section] if section else doc).get(name, copy.deepcopy(setting.default))
+        text = flags.get(name)
+        if text is not None:
             try:
-                value = _FLAG_PARSERS[key](value)
+                value = setting.read(text)
             except ValueError as exc:
-                raise ConfigError(f"bad {key} flag {value!r}: {exc}") from exc
-        if key == "threshold_fraction":
-            cfg["thresholds_mw"] = None
-        (cfg["data"] if key in cfg["data"] else cfg)[key] = value
-
-    _validate_config(cfg)
+                raise ConfigError(f"bad {key} flag {text!r}: {exc}") from exc
+        (cfg[section] if section else cfg)[name] = setting.check(key, value)
     return cfg
 
 
@@ -145,71 +110,96 @@ def _object(key: str, value, known) -> dict:
     return value
 
 
-def _number(key: str, value, kind: type, valid=lambda v: True, rule: str = ""):
-    """A config value as ``kind`` (int or float). Strings, booleans, for int
-    fractional numbers, and values for which ``valid`` is false raise a
-    ConfigError naming ``key``. ``valid`` sees the value as given, so a bound
-    on a float key also keeps a huge integer from overflowing ``float()``."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    if not valid(value):
-        raise ConfigError(f"{key} must be {rule}, got {value!r}")
-    return kind(value)
+def _number(kind: type, valid, rule: str):
+    """The check of a number key: ``check_number`` with these rules."""
+    return lambda key, value: check_number(key, value, kind, valid, rule)
 
 
-def _numbers(key: str, values, kind: type, valid=lambda v: True, rule: str = "") -> list:
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{key} must be a non-empty list of numbers, got {values!r}")
-    return [_number(key, v, kind, valid, rule) for v in values]
+def _numbers(kind: type, valid, rule: str):
+    """The check of a key holding a non-empty list of numbers."""
+    def checked(key: str, values) -> list:
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{key} must be a non-empty list of numbers, got {values!r}")
+        return [check_number(key, v, kind, valid, rule) for v in values]
+    return checked
+
+
+def _must_be(valid, rule: str, check=lambda key, value: value):
+    """``check``, then ``valid`` on the value it returns (``rule`` in words,
+    as in "delimiter must be one character")."""
+    def checked(key: str, value):
+        value = check(key, value)
+        if not valid(value):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        return value
+    return checked
+
+
+def _optional(check):
+    """``check``, letting null stand for its key's documented meaning."""
+    return lambda key, value: None if value is None else check(key, value)
+
+
+def _required(message: str, check):
+    """``check``, refusing a missing or empty value with ``message``."""
+    def checked(key: str, value):
+        if value is None or value == "":
+            raise ConfigError(message)
+        return check(key, value)
+    return checked
+
+
+def _hyperparams(key: str, value) -> dict:
+    gbrt.HyperParams(**_object(key, value, gbrt.HYPERPARAM_RULES))  # checks each value, naming its field
+    return value
+
+
+def _grid(key: str, grid) -> dict:
+    """Grid choices obey the rules of the HyperParams fields they set."""
+    _object(key, grid, ("n_estimators", "max_depth", "folds"))
+    checked = {name: _numbers(*gbrt.HYPERPARAM_RULES[name])(f"{key}.{name}", grid.get(name))
+               for name in ("n_estimators", "max_depth")}
+    folds = check_number(f"{key}.folds", grid.get("folds", evaluation.ParamGrid.folds), int, lambda v: v >= 2, ">= 2")
+    return {**checked, "folds": folds}
 
 
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: 0 < v <= sys.float_info.max, "finite and > 0")
+_string = _must_be(lambda v: isinstance(v, str), "a string")
 
-# key -> (type, condition on the value, the condition in words)
-_SCALARS = {
-    "resolution_s": (int, *_AT_LEAST_1),
-    "rated_capacity_mw": (float, *_POSITIVE),
-    "threshold_fraction": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "lag_count": (int, *_AT_LEAST_1),
-    "test_fraction": (float, lambda v: 0 < v < 1, "in (0, 1)"),
-    "seed": (int, lambda v: v >= 0, ">= 0"),
+# a setting's flag (None: config file only), its default (copied for each resolve), the reader of the
+# flag's text (raises ValueError), the check of a value from either source, and the flag's help
+_Setting = namedtuple("_Setting", "flag default read check help", defaults=[None])
+
+# every setting, in the order flags apply; "data." keys live in the config's "data" object
+_SETTINGS = {
+    "data.path": _Setting("--data", None, str, _required("no input data path given (config data.path or --data)",
+                                                         _string), "delimited input series file"),
+    "data.timestamp_column": _Setting("--timestamp-column", "timestamp", str, _string),
+    "data.power_column": _Setting("--power-column", "power_mw", str, _string),
+    "data.delimiter": _Setting("--delimiter", ",", str, _must_be(lambda v: len(v) == 1, "one character", _string)),
+    "resolution_s": _Setting("--resolution-s", 600, int, _number(int, *_AT_LEAST_1)),
+    "rated_capacity_mw": _Setting("--capacity-mw", None, float, _required(
+        "rated capacity is required (config rated_capacity_mw or --capacity-mw)", _number(float, *_POSITIVE))),
+    "threshold_fraction": _Setting("--threshold-fraction", 0.5, float,
+                                   _number(float, lambda v: 0 < v <= 1, "in (0, 1]")),
+    "thresholds_mw": _Setting("--threshold-mw", None, lambda text: [float(v) for v in text.split(",")],
+                              _optional(_must_be(lambda v: v == sorted(set(v)), "strictly increasing",
+                                                 _numbers(float, *_POSITIVE))),
+                              "absolute threshold(s), comma-separated"),
+    "horizons": _Setting("--horizons", [1, 2, 3, 4, 5, 6], lambda text: [int(v) for v in text.split(",")],
+                         _must_be(lambda v: len(set(v)) == len(v), "distinct", _numbers(int, *_AT_LEAST_1)),
+                         "comma-separated steps-ahead list, e.g. 1,2,3"),
+    "lag_count": _Setting("--lags", 36, int, _number(int, *_AT_LEAST_1), "length of the lag feature window"),
+    "test_fraction": _Setting("--test-fraction", 0.2, float, _number(float, lambda v: 0 < v < 1, "in (0, 1)")),
+    "seed": _Setting("--seed", 0, int, _number(int, lambda v: v >= 0, ">= 0")),
+    "workers": _Setting("--workers", 1, int, _optional(_number(int, *_AT_LEAST_1)),
+                        "processes running grid and final fits at once (default 1); outputs do not depend on it"),
+    "hyperparams": _Setting(None, {}, None, _hyperparams),
+    "grid": _Setting("--grid", None, _parse_grid_spec, _optional(_grid),
+                     "grid spec N_ESTSxDEPTHS[xFOLDS] or 'default'"),
+    "out": _Setting("--out", "out", str, _string, "output directory"),
 }
-
-
-def _validate_config(cfg: dict) -> None:
-    """Check every value of the merged config, storing each as its type."""
-    if not cfg["data"]["path"]:
-        raise ConfigError("no input data path given (config data.path or --data)")
-    for key, value in (*((f"data.{k}", v) for k, v in cfg["data"].items()), ("out", cfg["out"])):
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
-    if len(cfg["data"]["delimiter"]) != 1:
-        raise ConfigError(f"data.delimiter must be one character, got {cfg['data']['delimiter']!r}")
-    if cfg["rated_capacity_mw"] is None:
-        raise ConfigError("rated capacity is required (config rated_capacity_mw or --capacity-mw)")
-    for key, (kind, valid, rule) in _SCALARS.items():
-        cfg[key] = _number(key, cfg[key], kind, valid, rule)
-    if cfg["workers"] is not None:
-        cfg["workers"] = _number("workers", cfg["workers"], int, *_AT_LEAST_1)
-    cfg["horizons"] = _numbers("horizons", cfg["horizons"], int, *_AT_LEAST_1)
-    if len(set(cfg["horizons"])) != len(cfg["horizons"]):
-        raise ConfigError(f"horizons must be distinct, got {cfg['horizons']}")
-    if cfg["thresholds_mw"] is not None:
-        cfg["thresholds_mw"] = thresholds = _numbers("thresholds_mw", cfg["thresholds_mw"], float, *_POSITIVE)
-        if thresholds != sorted(set(thresholds)):
-            raise ConfigError(f"thresholds_mw must be strictly increasing, got {thresholds}")
-    hyperparams = _object("hyperparams", cfg["hyperparams"], (f.name for f in dataclasses.fields(gbrt.HyperParams)))
-    gbrt.HyperParams(**hyperparams)  # checks each value, naming its key
-    grid = cfg["grid"]
-    if grid is not None:
-        _object("grid", grid, ("n_estimators", "max_depth", "folds"))
-        cfg["grid"] = {
-            "n_estimators": _numbers("grid.n_estimators", grid.get("n_estimators"), int),
-            "max_depth": _numbers("grid.max_depth", grid.get("max_depth"), int),
-            "folds": _number("grid.folds", grid.get("folds", evaluation.ParamGrid.folds), int,
-                             lambda v: v >= 2, ">= 2"),
-        }
 
 
 def _thresholds(cfg: dict) -> labeling.ThresholdSet:
@@ -308,6 +298,9 @@ def cmd_train(cfg: dict) -> int:
     for s in cfg["horizons"]:
         train_ds, test_ds = evaluation.stratified_split(_build_dataset(cfg, wps, thresholds, s),
                                                         cfg["test_fraction"], seed)
+        if not (len(train_ds) and len(test_ds)):
+            raise DataError(f"horizon S={s}: test_fraction {cfg['test_fraction']} leaves the "
+                            f"{'train' if len(test_ds) else 'test'} part of {len(train_ds) + len(test_ds)} rows empty")
         parts.append(train_ds)
         digests.append(_split_sha256(train_ds, test_ds))
         del test_ds
@@ -342,9 +335,8 @@ def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
     if not isinstance(record, dict) or set(record) != {"seed", "test_fraction", "split_sha256"} \
             or not isinstance(record["split_sha256"], str):
         raise DataError(f"{malformed}: expected exactly the keys seed, test_fraction and split_sha256 (a string)")
-    try:  # the config's rules for the two values the record repeats
-        seed = _number("seed", record["seed"], *_SCALARS["seed"])
-        test_fraction = _number("test_fraction", record["test_fraction"], *_SCALARS["test_fraction"])
+    try:  # the config's checks for the two values the record repeats
+        seed, test_fraction = (_SETTINGS[key].check(key, record[key]) for key in ("seed", "test_fraction"))
     except ConfigError as exc:
         raise DataError(f"{malformed}: {exc}") from exc
     parts = evaluation.stratified_split(ds, test_fraction, seed)
@@ -381,7 +373,7 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def _read_feature_rows(source: str, lag_count: int) -> np.ndarray:
     try:
-        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read feature rows from {source}: {exc}") from exc
     rows = []
@@ -430,33 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data", dest="path", help="delimited input series file")
-        p.add_argument("--timestamp-column")
-        p.add_argument("--power-column")
-        p.add_argument("--delimiter")
-        p.add_argument("--resolution-s", type=int)
-        p.add_argument("--capacity-mw", dest="rated_capacity_mw", type=float)
-        p.add_argument("--threshold-fraction", type=float)
-        p.add_argument("--threshold-mw", dest="thresholds_mw",
-                       help="absolute threshold(s), comma-separated")
-        p.add_argument("--horizons", help="comma-separated steps-ahead list, e.g. 1,2,3")
-        p.add_argument("--lags", dest="lag_count", type=int, help="length of the lag feature window")
-        p.add_argument("--test-fraction", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int,
-                       help="processes running grid and final fits at once (default 1); "
-                            "outputs do not depend on it")
-        p.add_argument("--grid", help="grid spec N_ESTSxDEPTHS[xFOLDS] or 'default'")
-        p.add_argument("--out", help="output directory")
-
     for name, descr in (
         ("prepare", "write the class-distribution report and the resolved config"),
         ("train", "train one model per horizon (grid search when configured)"),
         ("evaluate", "score models against persistence and majority baselines"),
     ):
-        add_common(sub.add_parser(name, help=descr))
+        p = sub.add_parser(name, help=descr)
+        p.add_argument("--config", help="JSON config file")
+        for key, setting in _SETTINGS.items():
+            if setting.flag:
+                p.add_argument(setting.flag, dest=key.rpartition(".")[2], help=setting.help)
 
     p = sub.add_parser("predict", help="classify feature rows with a saved model")
     p.add_argument("model", help="model file written by `windramp train`")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ModelFormatError, TrainingError
+from .errors import DataError, ModelFormatError, TrainingError, check_number
 from .labeling import LabeledDataset
 
 MODEL_FORMAT_VERSION = 3
@@ -47,6 +47,19 @@ _HIST_CELLS = 1 << 20
 
 # (row, tree) node ids walked per block of rows: small enough to stay in cache
 _BLOCK_NODES = 16384
+
+
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v <= sys.float_info.max, "finite and >= 0")
+
+# HyperParams field -> (type, condition on the value, the condition in words)
+HYPERPARAM_RULES = {
+    "n_estimators": (int, lambda v: v >= 1, ">= 1"),
+    "max_depth": (int, lambda v: 1 <= v <= MAX_DEPTH, f"in 1..{MAX_DEPTH}"),
+    "reg_lambda": (float, *_FINITE_NON_NEGATIVE),
+    "gamma": (float, *_FINITE_NON_NEGATIVE),
+    "learning_rate": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "min_child_hessian": (float, *_FINITE_NON_NEGATIVE),
+}
 
 
 @dataclass(frozen=True)
@@ -67,26 +80,8 @@ class HyperParams:
     min_child_hessian: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_estimators", "max_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("reg_lambda", "gamma", "learning_rate", "min_child_hessian"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if self.n_estimators < 1:
-            raise ConfigError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        if not 1 <= self.max_depth <= MAX_DEPTH:
-            raise ConfigError(f"max_depth must be in 1..{MAX_DEPTH}, got {self.max_depth}")
-        if not 0 <= self.reg_lambda <= sys.float_info.max:
-            raise ConfigError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
-        if not 0 <= self.gamma <= sys.float_info.max:
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0 < self.learning_rate <= 1):
-            raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 0 <= self.min_child_hessian <= sys.float_info.max:
-            raise ConfigError(f"min_child_hessian must be >= 0, got {self.min_child_hessian}")
+        for name, rule in HYPERPARAM_RULES.items():
+            check_number(name, getattr(self, name), *rule)
 
 
 class Tree(NamedTuple):

@@ -167,7 +167,7 @@ def load_series(
     rows / gaps split / segment count).
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # -sig: skips a byte-order mark
             return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read series file {path}: {exc}") from exc

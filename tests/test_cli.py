@@ -110,6 +110,20 @@ class TestPipeline:
         err = json.loads(lines[0])
         assert err["error"] == "data" and "S=1" in err["message"] and "changed" in err["message"]
 
+    @pytest.mark.parametrize("fraction, empty", [("0.0003", "test"), ("0.9999", "train")])
+    def test_split_with_an_empty_part_exits_3(self, workspace, capsys, fraction, empty):
+        """A fraction that deals no row to one part is refused before any fit."""
+        write_series(generate_series(1500, rated_capacity_mw=20.0, seed=3), workspace["csv"])
+        assert main(workspace["argv"]("train", "--horizons", "1", "--test-fraction", fraction)) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "data"
+        for fragment in ("S=1", fraction, "1488 rows", f"{empty} part"):
+            assert fragment in err["message"]
+        assert not list((workspace["out"] / "models").iterdir())
+
     def test_evaluate_without_model_exits_3(self, workspace, capsys):
         assert main(workspace["argv"]("evaluate")) == 3
         err = error_line(capsys)
@@ -210,6 +224,10 @@ class TestPredict:
         proba = load_model(model_path).predict_proba(rows)
         assert [line["class"] for line in lines] == list(np.argmax(proba, axis=1) + 1)
         assert np.allclose([line["proba"] for line in lines], proba, atol=1e-6)
+        # a UTF-8 byte-order mark, as spreadsheet CSV exports write it, is not part of the first row
+        src.write_bytes(b"\xef\xbb\xbf" + src.read_text().split("\n", 1)[1].encode())
+        assert main(["predict", str(model_path), str(src)]) == 0
+        assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == lines
 
     def test_mistyped_first_row_is_not_a_header(self, model_path, tmp_path, capsys):
         # one cell that does not parse does not make line 1 a header: dropping
@@ -347,6 +365,9 @@ class TestConfig:
         ({"grid": {"n_estimators": ["x"], "max_depth": [2]}}, "n_estimators"),
         ({"grid": {"n_estimators": [2.5], "max_depth": [2]}}, "n_estimators"),
         ({"grid": {"n_estimators": [2], "max_depth": [2], "folds": "x"}}, "folds"),
+        ({"grid": {"n_estimators": [2, 0], "max_depth": [2]}}, "grid.n_estimators"),
+        ({"grid": {"n_estimators": [2], "max_depth": [0]}}, "grid.max_depth"),
+        ({"grid": {"n_estimators": [2], "max_depth": [13]}}, "grid.max_depth"),
         ({"data": "x"}, "data"),
         ({"data": {"delimiter": 5}}, "delimiter"),
         ({"data": {"delimiter": "ab"}}, "delimiter"),
@@ -361,6 +382,7 @@ class TestConfig:
         ({"thresholds_mw": []}, "thresholds_mw"),
         ({"thresholds_mw": [9, 4]}, "thresholds_mw"),
     ], ids=["grid_5", "grid_empty", "grid_string_choice", "grid_fractional_choice", "grid_string_folds",
+            "grid_zero_estimators", "grid_depth_0", "grid_depth_13",
             "data_string", "delimiter_5", "delimiter_2_chars", "unknown_data_key", "data_site_id", "out_5", "unknown_key_lags",
             "capacity_inf", "resolution_0", "seed_negative", "test_fraction_huge_integer",
             "thresholds_empty", "thresholds_decreasing"])
@@ -376,9 +398,47 @@ class TestConfig:
         err = json.loads(lines[0])
         assert err["error"] == "config" and key in err["message"]
 
+    @pytest.mark.parametrize("flag, key, text", [
+        ("--resolution-s", "resolution_s", "abc"), ("--resolution-s", "resolution_s", "1.5"),
+        ("--capacity-mw", "rated_capacity_mw", "abc"), ("--threshold-fraction", "threshold_fraction", "abc"),
+        ("--lags", "lag_count", "abc"), ("--lags", "lag_count", "1.5"), ("--test-fraction", "test_fraction", "abc"),
+        ("--seed", "seed", "abc"), ("--seed", "seed", "1.5"), ("--workers", "workers", "abc"),
+        ("--workers", "workers", "1.5"),
+    ])
+    def test_unreadable_flag_text_exits_2(self, workspace, capsys, flag, key, text):
+        assert main(workspace["argv"]("prepare", flag, text)) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and key in err["message"]
+
     def test_default_grid_is_param_grid_default(self, workspace):
         assert main(workspace["argv"]("prepare", "--grid", "default")) == 0
         cfg = json.loads((workspace["out"] / "config.resolved.json").read_text())
         default = ParamGrid()
         assert cfg["grid"] == {"n_estimators": list(default.n_estimators_choices),
                                "max_depth": list(default.max_depth_choices), "folds": default.folds}
+
+    @pytest.mark.parametrize("case", ["workspace", "fit_year", "default_grid"])
+    def test_resolved_config_pinned(self, workspace, tmp_path, case):
+        """config.resolved.json holds these exact bytes, with the output and
+        series paths replaced. The digests were recorded before the settings
+        were declared in one table."""
+        argv = workspace["argv"]("prepare")
+        if case == "fit_year":  # the argv of perfbench's fit-year workload
+            config = tmp_path / "fit_year.json"
+            config.write_text(json.dumps({"version": 1, "hyperparams": {"n_estimators": 2, "max_depth": 4}}))
+            argv = ["prepare", "--config", str(config), "--data", str(workspace["csv"]), "--capacity-mw", "20.0",
+                    "--threshold-fraction", "0.5", "--lags", "36", "--horizons", "6", "--seed", "1",
+                    "--workers", "1", "--out", str(workspace["out"])]
+        if case == "default_grid":
+            argv += ["--grid", "default"]
+        assert main(argv) == 0
+        text = (workspace["out"] / "config.resolved.json").read_text()
+        text = text.replace(json.dumps(str(workspace["out"])), '"OUT"').replace(str(workspace["csv"]), "SERIES")
+        assert hashlib.sha256(text.encode()).hexdigest() == {
+            "workspace": "08a247222d24acfce1b5708dcfb818ecc87414e416385368e20f69915ff684c9",
+            "fit_year": "f50b2a9816c18224a9ec46eb460ab3b8bbd40e6485c7a788b7a0ebca2d2aea88",
+            "default_grid": "b79840567f7e25ba1bb0648f64efe4e67f561718701dadb3749a82a65abc9206",
+        }[case]

@@ -21,6 +21,10 @@ def test_load_well_formed(tmp_path):
     assert wps.segment_bounds == ((0, 3),)
     assert report.rows_read == 3
     assert report.gaps == 0
+    # a UTF-8 byte-order mark, as spreadsheet CSV exports write it, is not part of the header
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    bom, _ = load_series(path, resolution_s=600, rated_capacity_mw=20.0)
+    assert np.array_equal(bom.timestamps, wps.timestamps) and np.array_equal(bom.powers, wps.powers)
 
 
 def test_gap_policy_split_makes_two_segments(tmp_path):
