@@ -13,13 +13,12 @@ from .errors import ConfigError, DataError, ModelFormatError, TrainingError, Win
 from .evaluation import ParamGrid, evaluate_horizons, fit_horizons, stratified_split
 from .gbrt import GbrtModel, HyperParams, load_model, save_model, train
 from .labeling import HorizonSpec, LabeledDataset, ThresholdSet, build_dataset
-from .series import ColumnSchema, WindPowerSeries, load_series, write_series
+from .series import WindPowerSeries, load_series, write_series
 from .synthetic import generate_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnSchema",
     "ConfigError",
     "DataError",
     "GbrtModel",

@@ -4,8 +4,10 @@ Configuration comes from a JSON file (``--config``) with flags overriding
 individual fields. One table, ``_SETTINGS``, declares each setting once:
 key, flag, default, reader and check. ``resolve_config`` reads each flag's
 text with its key's reader, then checks every value with its key's check,
-whichever source it came from. ``train`` and ``evaluate`` rebuild each
-horizon's labeled dataset from the series in memory. Every report is a JSON
+whichever source it came from. The resolved ``data`` object is passed to
+``series.load_series`` as its keywords. One helper, ``_horizon_datasets``,
+loads that series once and builds each horizon's labeled dataset in memory,
+as ``prepare``, ``train`` and ``evaluate`` take it. Every report is a JSON
 document, written once as it was built (sorted keys, 2-space indent):
 
 - ``prepare`` writes ``config.resolved.json`` and
@@ -28,8 +30,8 @@ document, written once as it was built (sorted keys, 2-space indent):
   comparison table, which is rendered from those two and not stored.
 - ``predict`` prints one JSON line (class and probabilities) per row.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 training or
-model error. Errors print one JSON line to stderr.
+Exit codes: 0 success, 2 config error (a bad command line too), 3 data
+error, 4 training or model error. Errors print one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -202,25 +204,15 @@ _SETTINGS = {
 }
 
 
-def _thresholds(cfg: dict) -> labeling.ThresholdSet:
-    if cfg["thresholds_mw"]:
-        return labeling.ThresholdSet(tuple(cfg["thresholds_mw"]))
-    return labeling.ThresholdSet.from_fraction(cfg["threshold_fraction"], cfg["rated_capacity_mw"])
-
-
-def _load_series(cfg: dict) -> tuple[series.WindPowerSeries, series.LoadReport]:
-    data = cfg["data"]
-    schema = series.ColumnSchema(
-        timestamp=data["timestamp_column"],
-        power=data["power_column"],
-        delimiter=data["delimiter"],
-    )
-    return series.load_series(
-        data["path"],
-        schema,
-        resolution_s=cfg["resolution_s"],
-        rated_capacity_mw=cfg["rated_capacity_mw"],
-    )
+def _horizon_datasets(cfg: dict):
+    """Load the configured series once. Returns it, its ``LoadReport`` and an
+    iterator of each horizon's ``(S, labeled dataset)``, built as it is taken."""
+    wps, report = series.load_series(**cfg["data"], resolution_s=cfg["resolution_s"],
+                                     rated_capacity_mw=cfg["rated_capacity_mw"])
+    thresholds = (labeling.ThresholdSet(tuple(cfg["thresholds_mw"])) if cfg["thresholds_mw"]
+                  else labeling.ThresholdSet.from_fraction(cfg["threshold_fraction"], cfg["rated_capacity_mw"]))
+    return wps, report, ((s, labeling.build_dataset(wps, labeling.HorizonSpec(s, cfg["lag_count"]), thresholds))
+                         for s in cfg["horizons"])
 
 
 def _out_dirs(cfg: dict) -> dict[str, Path]:
@@ -244,11 +236,6 @@ def _model_path(dirs: dict, s: int) -> Path:
     return dirs["models"] / f"horizon_{s}.model.json"
 
 
-def _build_dataset(cfg: dict, wps: series.WindPowerSeries, thresholds, s: int) -> labeling.LabeledDataset:
-    horizon = labeling.HorizonSpec(steps_ahead=s, lag_count=cfg["lag_count"])
-    return labeling.build_dataset(wps, horizon, thresholds)
-
-
 def _split_sha256(train_ds: labeling.LabeledDataset, test_ds: labeling.LabeledDataset) -> str:
     """sha256 of the train part's and then the test part's rows."""
     digest = hashlib.sha256()
@@ -258,23 +245,19 @@ def _split_sha256(train_ds: labeling.LabeledDataset, test_ds: labeling.LabeledDa
     return digest.hexdigest()
 
 
-def _distribution_doc(cfg: dict, wps: series.WindPowerSeries, thresholds) -> dict:
-    doc = {"thresholds_mw": list(thresholds.thresholds_mw), "horizons": {}}
-    for s in cfg["horizons"]:
-        ds = _build_dataset(cfg, wps, thresholds, s)
+def cmd_prepare(cfg: dict) -> int:
+    dirs = _out_dirs(cfg)
+    _write_json(dirs["root"] / "config.resolved.json", cfg)
+    _, report, datasets = _horizon_datasets(cfg)
+    doc = {"horizons": {}}
+    for s, ds in datasets:
         dist = labeling.class_distribution(ds)
+        doc["thresholds_mw"] = list(ds.thresholds.thresholds_mw)  # the config's, for every horizon
         doc["horizons"][str(s)] = {
             "rows": len(ds),
             "classes": {str(c): {"count": cnt, "percentage": pct} for c, (cnt, pct) in dist.items()},
         }
-    return doc
-
-
-def cmd_prepare(cfg: dict) -> int:
-    dirs = _out_dirs(cfg)
-    _write_json(dirs["root"] / "config.resolved.json", cfg)
-    wps, report = _load_series(cfg)
-    _write_json(dirs["reports"] / "distribution.json", _distribution_doc(cfg, wps, _thresholds(cfg)))
+    _write_json(dirs["reports"] / "distribution.json", doc)
     print(
         f"wrote class distributions for {len(cfg['horizons'])} horizons to {dirs['reports']} "
         f"(rows read {report.rows_read}, dropped {report.rows_dropped}, "
@@ -291,13 +274,12 @@ def cmd_train(cfg: dict) -> int:
     grid = cfg["grid"] and evaluation.ParamGrid(
         tuple(cfg["grid"]["n_estimators"]), tuple(cfg["grid"]["max_depth"]), cfg["grid"]["folds"]
     )
-    wps, _ = _load_series(cfg)
-    thresholds = _thresholds(cfg)
+    _, _, datasets = _horizon_datasets(cfg)
     # keep only each horizon's train part and split digest, not the datasets
     parts, digests = [], []
-    for s in cfg["horizons"]:
-        train_ds, test_ds = evaluation.stratified_split(_build_dataset(cfg, wps, thresholds, s),
-                                                        cfg["test_fraction"], seed)
+    for s, ds in datasets:
+        train_ds, test_ds = evaluation.stratified_split(ds, cfg["test_fraction"], seed)
+        del ds
         if not (len(train_ds) and len(test_ds)):
             raise DataError(f"horizon S={s}: test_fraction {cfg['test_fraction']} leaves the "
                             f"{'train' if len(test_ds) else 'test'} part of {len(train_ds) + len(test_ds)} rows empty")
@@ -351,16 +333,16 @@ def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
 
 def cmd_evaluate(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
-    wps, _ = _load_series(cfg)
-    thresholds = _thresholds(cfg)
+    wps, _, datasets = _horizon_datasets(cfg)
 
     def horizons():
-        for s in cfg["horizons"]:
+        for s, ds in datasets:
             model_path = _model_path(dirs, s)
             if not model_path.exists():
                 raise DataError(f"model {model_path} missing; run `windramp train` first")
             model = gbrt.load_model(model_path)
-            train_ds, test_ds = _resplit(dirs, s, _build_dataset(cfg, wps, thresholds, s))
+            train_ds, test_ds = _resplit(dirs, s, ds)
+            del ds
             yield model, train_ds, test_ds
 
     doc, seconds = evaluation.evaluate_horizons(wps, horizons())
@@ -372,8 +354,8 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def _read_feature_rows(source: str, lag_count: int) -> np.ndarray:
-    try:
-        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8-sig")
+    try:  # stdin and a file alike: bytes, decoded once, skipping a byte-order mark
+        text = (sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()).decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read feature rows from {source}: {exc}") from exc
     rows = []
@@ -415,8 +397,16 @@ def cmd_predict(model_path: str, source: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with a ConfigError (one JSON line, exit 2)
+    instead of a usage block; its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="windramp",
         description="Wind-power ramp class prediction with gradient boosted trees.",
     )
@@ -440,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "predict":
             return cmd_predict(args.model, args.input)
         commands = {"prepare": cmd_prepare, "train": cmd_train, "evaluate": cmd_evaluate}

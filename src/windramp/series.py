@@ -19,15 +19,6 @@ import numpy as np
 from .errors import DataError
 
 @dataclass(frozen=True)
-class ColumnSchema:
-    """Column mapping for delimited input files."""
-
-    timestamp: str = "timestamp"
-    power: str = "power_mw"
-    delimiter: str = ","
-
-
-@dataclass(frozen=True)
 class LoadReport:
     """Bookkeeping from one load: raw rows seen, rows skipped, gaps split."""
 
@@ -152,52 +143,60 @@ def _split_segments(ts: np.ndarray, resolution_s: int) -> tuple[tuple[int, int],
 
 def load_series(
     path,
-    schema: ColumnSchema | None = None,
     *,
     resolution_s: int,
     rated_capacity_mw: float,
+    timestamp_column: str = "timestamp",
+    power_column: str = "power_mw",
+    delimiter: str = ",",
 ) -> tuple[WindPowerSeries, LoadReport]:
     """Read a delimited text file into a validated WindPowerSeries.
 
-    Rows are sorted by timestamp; exact duplicates, sub-resolution strides,
-    and powers outside [0, rated_capacity_mw] are hard errors. Any missing
-    step starts a new segment; no power value is ever fabricated.
+    The header row names the columns: ``timestamp_column`` holds epoch
+    seconds or ISO-8601 times and ``power_column`` megawatts, with fields
+    separated by ``delimiter``. Rows are sorted by timestamp; exact
+    duplicates, sub-resolution strides, and powers outside [0,
+    rated_capacity_mw] are hard errors. Any missing step starts a new
+    segment; no power value is ever fabricated.
 
     Returns the series together with a LoadReport (rows read / dropped blank
     rows / gaps split / segment count).
     """
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # -sig: skips a byte-order mark
-            return _read_delimited(fh, schema or ColumnSchema(), resolution_s, rated_capacity_mw)
+            ts, pw, rows_dropped = _read_columns(csv.reader(fh, delimiter=delimiter), timestamp_column, power_column)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read series file {path}: {exc}") from exc
+    order = np.argsort(ts, kind="stable")
+    series = WindPowerSeries(timestamps=ts[order], powers=pw[order], resolution_s=resolution_s,
+                             rated_capacity_mw=rated_capacity_mw)
+    return series, LoadReport(rows_read=ts.size, rows_dropped=rows_dropped, segments=len(series.segment_bounds))
 
 
-def _read_delimited(fh, schema, resolution_s, rated_capacity_mw):
-    reader = csv.reader(fh, delimiter=schema.delimiter)
+def _read_columns(reader, timestamp_column: str, power_column: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """The two named columns of every non-blank row, in file order, and the
+    number of blank rows skipped."""
     try:
         header = next(reader)
     except StopIteration:
         raise DataError("empty input: no header row") from None
     header = [h.strip() for h in header]
     try:
-        ts_col = header.index(schema.timestamp)
-        pw_col = header.index(schema.power)
+        ts_col = header.index(timestamp_column)
+        pw_col = header.index(power_column)
     except ValueError:
         raise DataError(
-            f"missing required columns {schema.timestamp!r}/{schema.power!r}; header is {header}"
+            f"missing required columns {timestamp_column!r}/{power_column!r}; header is {header}"
         ) from None
 
     timestamps: list[int] = []
     powers: list[float] = []
-    rows_read = 0
     rows_dropped = 0
     width = max(ts_col, pw_col) + 1
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             rows_dropped += 1
             continue
-        rows_read += 1
         if len(row) < width:
             raise DataError(f"line {line_no}: expected at least {width} columns, got {len(row)}")
         timestamps.append(_parse_timestamp(row[ts_col], line_no))
@@ -208,29 +207,21 @@ def _read_delimited(fh, schema, resolution_s, rated_capacity_mw):
 
     if not timestamps:
         raise DataError("no data rows in input")
-
-    ts = np.asarray(timestamps, dtype=np.int64)
-    pw = np.asarray(powers, dtype=np.float64)
-    order = np.argsort(ts, kind="stable")
-    series = WindPowerSeries(
-        timestamps=ts[order],
-        powers=pw[order],
-        resolution_s=resolution_s,
-        rated_capacity_mw=rated_capacity_mw,
-    )
-    return series, LoadReport(rows_read=rows_read, rows_dropped=rows_dropped, segments=len(series.segment_bounds))
+    return np.asarray(timestamps, dtype=np.int64), np.asarray(powers, dtype=np.float64), rows_dropped
 
 
-def write_series(series: WindPowerSeries, path, schema: ColumnSchema | None = None) -> None:
-    """Write the series back to delimited text.
+def write_series(series: WindPowerSeries, path, *, timestamp_column: str = "timestamp",
+                 power_column: str = "power_mw", delimiter: str = ",") -> None:
+    """Write the series back to delimited text, under a header naming
+    ``timestamp_column`` and ``power_column``, with fields separated by
+    ``delimiter`` (the keywords and defaults of ``load_series``).
 
     Powers are written with shortest round-trip formatting, so reloading
     yields bitwise-equal values.
     """
-    schema = schema or ColumnSchema()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=schema.delimiter)
-        writer.writerow([schema.timestamp, schema.power])
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow([timestamp_column, power_column])
         for t, p in zip(series.timestamps, series.powers):
             writer.writerow([int(t), repr(float(p))])
 

@@ -10,6 +10,8 @@ makes ramp direction learnable from recent levels.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .errors import DataError
@@ -26,60 +28,41 @@ CALM_SIGMA = 0.02
 PLATEAU_SIGMA = 0.015
 
 
-def generate_series(n_points: int, *, rated_capacity_mw: float = 20.0, seed: int = 0) -> WindPowerSeries:
-    """Generate one contiguous synthetic series of ``n_points`` 10-minute steps."""
-    if n_points < 2:
-        raise DataError(f"n_points must be >= 2, got {n_points}")
-    rng = np.random.default_rng(seed)
-    cap = rated_capacity_mw
+def _levels(rng: np.random.Generator):
+    """Unclipped levels, one per step and without end, drawing from ``rng``
+    step by step: a series' first n levels never depend on its length."""
     mid, low, high = 0.5, 0.10, 0.90
-
-    level = np.empty(n_points, dtype=np.float64)
     x = mid
-    i = 0
-    while i < n_points:
+    while True:
         if rng.random() < STORM_RATE:
             cycles = int(rng.integers(STORM_CYCLES[0], STORM_CYCLES[1] + 1))
             # approach the low plateau gently (a mild ramp, not a severe one)
             for target in (0.30, low):
-                if i >= n_points:
-                    break
-                x = target + PLATEAU_SIGMA * rng.standard_normal()
-                level[i] = x
-                i += 1
-            for c in range(cycles):
+                yield target + PLATEAU_SIGMA * rng.standard_normal()
+            for _ in range(cycles):
                 for plateau in (high, low):
                     dwell = int(rng.integers(PLATEAU_STEPS[0], PLATEAU_STEPS[1] + 1))
-                    if i >= n_points:
-                        break
-                    # severe single-step jump onto the plateau
-                    x = plateau + PLATEAU_SIGMA * rng.standard_normal()
-                    level[i] = x
-                    i += 1
-                    for _ in range(dwell - 1):
-                        if i >= n_points:
-                            break
-                        x = plateau + PLATEAU_SIGMA * rng.standard_normal()
-                        level[i] = x
-                        i += 1
+                    # a severe single-step jump onto the plateau, then dwell - 1 steps on it
+                    for _ in range(dwell):
+                        yield plateau + PLATEAU_SIGMA * rng.standard_normal()
             # leave the storm with two mild steps back toward mid
             for target in (0.30, mid):
-                if i >= n_points:
-                    break
                 x = target + CALM_SIGMA * rng.standard_normal()
-                level[i] = x
-                i += 1
+                yield x
         else:
             x = x + 0.3 * (mid - x) + CALM_SIGMA * rng.standard_normal()
-            level[i] = x
-            i += 1
+            yield x
 
+
+def generate_series(n_points: int, *, rated_capacity_mw: float = 20.0, seed: int = 0) -> WindPowerSeries:
+    """Generate one contiguous synthetic series of ``n_points`` 10-minute steps."""
+    if n_points < 2:
+        raise DataError(f"n_points must be >= 2, got {n_points}")
+    level = np.fromiter(islice(_levels(np.random.default_rng(seed)), n_points), dtype=np.float64, count=n_points)
     np.clip(level, 0.02, 0.98, out=level)
-    powers = cap * level
-    timestamps = RESOLUTION_S + RESOLUTION_S * np.arange(n_points, dtype=np.int64)
     return WindPowerSeries(
-        timestamps=timestamps,
-        powers=powers,
+        timestamps=RESOLUTION_S + RESOLUTION_S * np.arange(n_points, dtype=np.int64),
+        powers=rated_capacity_mw * level,
         resolution_s=RESOLUTION_S,
         rated_capacity_mw=rated_capacity_mw,
     )

@@ -1,10 +1,11 @@
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from windramp import ParamGrid, generate_series, load_model, write_series
+from windramp import ParamGrid, generate_series, load_model, load_series, write_series
 from windramp.cli import main
 
 LAGS = 12
@@ -196,6 +197,23 @@ class TestPipeline:
             "evaluation.json": "7d7218f5f9215cb8ec51a7f2b695611986584420563ec7855b685cf33c6116bc",
         }
 
+    def test_data_keys_read_other_columns(self, workspace, tmp_path):
+        """The config's data keys and their flags reach load_series: the
+        series written as ``t;mw`` gives the default format's report."""
+        assert main(workspace["argv"]("prepare")) == 0
+        expected = (workspace["out"] / "reports" / "distribution.json").read_bytes()
+        columns = {"timestamp_column": "t", "power_column": "mw", "delimiter": ";"}
+        wps, _ = load_series(workspace["csv"], resolution_s=600, rated_capacity_mw=20.0)
+        write_series(wps, workspace["csv"], **columns)
+        config = tmp_path / "columns.json"
+        config.write_text(json.dumps({"version": 1, "data": columns}))
+        from_file = workspace["argv"]("prepare", "--config", str(config), out_dir=tmp_path / "from_file")
+        from_flags = workspace["argv"]("prepare", "--timestamp-column", "t", "--power-column", "mw",
+                                       "--delimiter", ";", out_dir=tmp_path / "from_flags")
+        for argv, out in ((from_file, "from_file"), (from_flags, "from_flags")):
+            assert main(argv) == 0
+            assert (tmp_path / out / "reports" / "distribution.json").read_bytes() == expected
+
     def test_no_grid_train_identical_across_workers(self, workspace, tmp_path):
         outputs = []
         for workers in (1, 2):
@@ -213,7 +231,7 @@ class TestPredict:
         assert main(workspace["argv"]("train")) == 0
         return workspace["out"] / "models" / "horizon_1.model.json"
 
-    def test_output_matches_model(self, model_path, tmp_path, capsys):
+    def test_output_matches_model(self, model_path, tmp_path, capsys, monkeypatch):
         rows = np.random.default_rng(0).uniform(0.0, 20.0, size=(5, LAGS))
         src = tmp_path / "rows.csv"
         header = ",".join(f"lag_{LAGS - 1 - j}" for j in range(LAGS))
@@ -227,6 +245,10 @@ class TestPredict:
         # a UTF-8 byte-order mark, as spreadsheet CSV exports write it, is not part of the first row
         src.write_bytes(b"\xef\xbb\xbf" + src.read_text().split("\n", 1)[1].encode())
         assert main(["predict", str(model_path), str(src)]) == 0
+        assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == lines
+        # stdin ("-") is read like the file
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes())))
+        assert main(["predict", str(model_path), "-"]) == 0
         assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == lines
 
     def test_mistyped_first_row_is_not_a_header(self, model_path, tmp_path, capsys):
@@ -249,16 +271,19 @@ class TestPredict:
 
     @pytest.mark.parametrize("case, code, kind", [
         ("non_utf8_model", 4, "training"), ("deeply_nested_model", 4, "training"), ("non_utf8_rows", 3, "data"),
-        ("missing_rows", 3, "data"),
+        ("missing_rows", 3, "data"), ("non_utf8_stdin", 3, "data"),
     ])
-    def test_unreadable_file_exits_with_its_code(self, model_path, tmp_path, capsys, case, code, kind):
+    def test_unreadable_file_exits_with_its_code(self, model_path, tmp_path, capsys, monkeypatch, case, code, kind):
         src = tmp_path / "rows.csv"
         if case == "non_utf8_model":
             model_path.write_bytes(b"\xff" + model_path.read_bytes())
         if case == "deeply_nested_model":
             model_path.write_text("[" * 100_000 + "]" * 100_000)
         if case != "missing_rows":
-            src.write_bytes(",".join(["1.0"] * LAGS).encode() + (b"\xff\n" if case == "non_utf8_rows" else b"\n"))
+            src.write_bytes(",".join(["1.0"] * LAGS).encode() + (b"\n" if case.endswith("model") else b"\xff\n"))
+        if case == "non_utf8_stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes())))
+            src = "-"
         capsys.readouterr()
         assert main(["predict", str(model_path), str(src)]) == code
         assert error_line(capsys)["error"] == kind
@@ -412,6 +437,26 @@ class TestConfig:
         assert len(lines) == 1 and captured.out == ""
         err = json.loads(lines[0])
         assert err["error"] == "config" and key in err["message"]
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["prepare", "--data", "x", "--seed"], "argument --seed: expected one argument"),
+        (["prepare", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ], ids=["flag_without_value", "unknown_flag", "no_subcommand", "unknown_subcommand"])
+    def test_bad_command_line_exits_2(self, capsys, argv, reason):
+        """argparse's own refusals end in one JSON line, not a usage block."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and reason in err["message"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--help"])
+        assert exc.value.code == 0 and "--timestamp-column" in capsys.readouterr().out
 
     def test_default_grid_is_param_grid_default(self, workspace):
         assert main(workspace["argv"]("prepare", "--grid", "default")) == 0

@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from windramp import ColumnSchema, DataError, WindPowerSeries, generate_series, load_series, write_series
+from windramp import DataError, WindPowerSeries, generate_series, load_series, write_series
 
 
-def load_text(tmp_path, text, schema=None):
+def load_text(tmp_path, text, **columns):
     """load_series on ``text`` written to a file, at 600 s and 20 MW."""
     path = tmp_path / "input.csv"
     path.write_text(text)
-    return load_series(path, schema, resolution_s=600, rated_capacity_mw=20.0)
+    return load_series(path, resolution_s=600, rated_capacity_mw=20.0, **columns)
 
 
 def test_load_well_formed(tmp_path):
@@ -126,9 +128,12 @@ def test_rows_sorted_and_iso_timestamps_normalized(tmp_path):
 
 def test_custom_schema_and_delimiter(tmp_path):
     text = "t;mw\n600;1.5\n1200;2.5\n"
-    schema = ColumnSchema(timestamp="t", power="mw", delimiter=";")
-    wps, _ = load_text(tmp_path, text, schema)
+    columns = {"timestamp_column": "t", "power_column": "mw", "delimiter": ";"}
+    wps, _ = load_text(tmp_path, text, **columns)
     assert np.array_equal(wps.powers, [1.5, 2.5])
+    # write_series takes the same keywords and writes the same text back
+    write_series(wps, tmp_path / "back.csv", **columns)
+    assert (tmp_path / "back.csv").read_text() == text
 
 
 def test_missing_column_is_error(tmp_path):
@@ -165,3 +170,33 @@ def test_full_scale_fixture_count(tmp_path):
     back, report = load_series(path, resolution_s=600, rated_capacity_mw=20.0)
     assert report.rows_read == 157_969
     assert len(back) == 157_969
+
+
+@pytest.mark.parametrize("n_points, seed, powers_sha256, timestamps_sha256", [
+    (52560, 1, "acc8a614719cc03ea906f78ee8a66687c1e3e7a34c4e7073b693cd28c2c6800a",
+     "b6267525a6d222e6416e62dec3d516c887cf7a9bad9914a971231b58b68f255b"),
+    (4320, 1, "81698ec8c65aae1734438c7b7ff8c0c03c827b92889f5f1ae5c6c6542b271fe0",
+     "674f4ca5abbdd4a9b16b68d52cd9f35624183270142e0f2491b58e6380a33dfd"),
+    (52560, 7920, "547a81362ae4ae001e6adb6e968905be34a347a311b08941a5bdb192dfec50c3",
+     "b6267525a6d222e6416e62dec3d516c887cf7a9bad9914a971231b58b68f255b"),
+    (4320, 0, "5e43a3d0529ab74ee464e6020c72eece816e327941153630e24c5812dfda7a35",
+     "674f4ca5abbdd4a9b16b68d52cd9f35624183270142e0f2491b58e6380a33dfd"),
+    (2000, 3, "1986b0e016ec029d21abbeab26c8a430da64dc2a2f3a809542c538b3af706505",
+     "923341dc377e3482e0b9ab08a309241fc2bcd6712b6ea18c9a298183423cf9f0"),
+    (2, 0, "e1fe6e32681e5e1dbe7b40b6f1dd4abe4f1d1dabe0709088b617edcf9fb6b7cb",
+     "db00a3050713e75d13158c5d0ab94c0535e88d76aaa89d2fab17eb9d00b2038d"),
+    (5, 1, "d22bf83469ce555b6170755e2d9a7a0d393796e5c32961f1fceef030333ac65b",
+     "7b7f734a0661d18d00ce444cbb1b30f7ab58900fa7b67efd2d29a56c9b682618"),
+    # ends on the first high plateau of seed 0's first storm
+    (430, 0, "61713010dbff1a484cb32ceeded2ef6a1c79481ec2ac95fde89c55ff4deafc72",
+     "bdbfbbac16e16456266256c7c48f6a321ff052cdf4b13986fda060b7fb6e56db"),
+])
+def test_generate_series_pinned(n_points, seed, powers_sha256, timestamps_sha256):
+    """generate_series yields these exact arrays: the benchmark's series
+    (a year and 30 days at seed 1, the request rows at seed 1 + 7919, the
+    served model's at seed 0), the CLI tests' series, short ones and one cut
+    mid-storm. The digests were recorded before the generator was rewritten
+    as one stream of steps."""
+    wps = generate_series(n_points, seed=seed)
+    assert hashlib.sha256(wps.powers.tobytes()).hexdigest() == powers_sha256
+    assert hashlib.sha256(wps.timestamps.tobytes()).hexdigest() == timestamps_sha256
