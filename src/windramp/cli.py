@@ -17,21 +17,23 @@ document, written once as it was built (sorted keys, 2-space indent):
   ``models/horizon_S.model.json``, the split record
   ``models/horizon_S.split.json`` and, with a grid,
   ``reports/grid_horizon_S.json`` (the winning pair and the CV table). The
-  split record holds exactly ``seed``, ``test_fraction`` and
-  ``split_sha256``: the sha256 of the train part's and then the test part's
-  features, targets and anchor timestamps. It runs every horizon's grid and
-  final fits on one pool of ``--workers`` processes, then writes the outputs
-  in horizon order, and prints one line per horizon.
-- ``evaluate`` re-runs each recorded split and refuses it (exit 3) when the
-  record is malformed or the rows it deals no longer match ``split_sha256``,
-  whether the series, the labeling config or the record changed. It writes
-  ``reports/evaluation.json`` (the deterministic scores) and
+  split record holds exactly ``split_sha256``: the sha256 of the train
+  part's and then the test part's features, targets and anchor timestamps.
+  It runs every horizon's grid and final fits on one pool of ``--workers``
+  processes, then writes the outputs in horizon order, and prints one line
+  per horizon.
+- ``evaluate`` splits with its own ``seed`` and ``test_fraction``, which
+  must be the ones ``train`` used: it refuses a split (exit 3) when the
+  record is malformed or the rows it deals do not match ``split_sha256``,
+  whether the series, a labeling setting or a split setting changed. It
+  writes ``reports/evaluation.json`` (the deterministic scores) and
   ``reports/timing.json`` (wall-clock seconds per example). It prints the
   comparison table, which is rendered from those two and not stored.
 - ``predict`` prints one JSON line (class and probabilities) per row.
 
-Exit codes: 0 success, 2 config error (a bad command line too), 3 data
-error, 4 training or model error. Errors print one JSON line to stderr.
+Exit codes: 0 success, 2 config error (a bad command line too, and an
+output path that cannot be written), 3 data error, 4 training or model
+error. Errors print one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -215,17 +217,26 @@ def _horizon_datasets(cfg: dict):
                          for s in cfg["horizons"])
 
 
+def _write(path: Path, write) -> None:
+    """``write(path)``, refusing an unusable output path (an OSError) with a
+    ConfigError that names it: the path comes from the config's ``out``."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _out_dirs(cfg: dict) -> dict[str, Path]:
     root = Path(cfg["out"])
     dirs = {name: root / name for name in ("models", "reports")}
     for d in dirs.values():
-        d.mkdir(parents=True, exist_ok=True)
+        _write(d, lambda path: path.mkdir(parents=True, exist_ok=True))
     dirs["root"] = root
     return dirs
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(path, lambda path: path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"))
 
 
 def _split_path(dirs: dict, s: int) -> Path:
@@ -236,13 +247,19 @@ def _model_path(dirs: dict, s: int) -> Path:
     return dirs["models"] / f"horizon_{s}.model.json"
 
 
-def _split_sha256(train_ds: labeling.LabeledDataset, test_ds: labeling.LabeledDataset) -> str:
-    """sha256 of the train part's and then the test part's rows."""
+def _split(cfg: dict, s: int, ds: labeling.LabeledDataset):
+    """``(train part, test part, split_sha256)`` of horizon S's dataset split
+    by the config's seed and test_fraction; a part left empty is refused. The
+    digest is the sha256 of the train part's and then the test part's rows."""
+    train_ds, test_ds = evaluation.stratified_split(ds, cfg["test_fraction"], cfg["seed"])
+    if not (len(train_ds) and len(test_ds)):
+        raise DataError(f"horizon S={s}: test_fraction {cfg['test_fraction']} leaves the "
+                        f"{'train' if len(test_ds) else 'test'} part of {len(train_ds) + len(test_ds)} rows empty")
     digest = hashlib.sha256()
-    for ds in (train_ds, test_ds):
-        for arr in (ds.features, ds.targets, ds.anchor_ts):
+    for part in (train_ds, test_ds):
+        for arr in (part.features, part.targets, part.anchor_ts):
             digest.update(arr)  # a dataset's arrays are C-contiguous: hashed in place, not copied
-    return digest.hexdigest()
+    return train_ds, test_ds, digest.hexdigest()
 
 
 def cmd_prepare(cfg: dict) -> int:
@@ -269,7 +286,6 @@ def cmd_prepare(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
     _write_json(dirs["root"] / "config.resolved.json", cfg)
-    seed = cfg["seed"]
     fixed = gbrt.HyperParams(**cfg["hyperparams"])
     grid = cfg["grid"] and evaluation.ParamGrid(
         tuple(cfg["grid"]["n_estimators"]), tuple(cfg["grid"]["max_depth"]), cfg["grid"]["folds"]
@@ -278,24 +294,19 @@ def cmd_train(cfg: dict) -> int:
     # keep only each horizon's train part and split digest, not the datasets
     parts, digests = [], []
     for s, ds in datasets:
-        train_ds, test_ds = evaluation.stratified_split(ds, cfg["test_fraction"], seed)
-        del ds
-        if not (len(train_ds) and len(test_ds)):
-            raise DataError(f"horizon S={s}: test_fraction {cfg['test_fraction']} leaves the "
-                            f"{'train' if len(test_ds) else 'test'} part of {len(train_ds) + len(test_ds)} rows empty")
+        train_ds, test_ds, digest = _split(cfg, s, ds)
+        del ds, test_ds
         parts.append(train_ds)
-        digests.append(_split_sha256(train_ds, test_ds))
-        del test_ds
-    fits = evaluation.fit_horizons(parts, grid, fixed, seed=seed, workers=cfg["workers"])
+        digests.append(digest)
+    fits = evaluation.fit_horizons(parts, grid, fixed, seed=cfg["seed"], workers=cfg["workers"])
     for s, train_ds, digest, (params, table, model) in zip(cfg["horizons"], parts, digests, fits):
         if grid:
             _write_json(dirs["reports"] / f"grid_horizon_{s}.json", {
                 "best": {"n_estimators": params.n_estimators, "max_depth": params.max_depth},
                 "table": table,
             })
-        gbrt.save_model(model, _model_path(dirs, s))
-        _write_json(_split_path(dirs, s),
-                    {"seed": seed, "test_fraction": cfg["test_fraction"], "split_sha256": digest})
+        _write(_model_path(dirs, s), lambda path: gbrt.save_model(model, path))
+        _write_json(_split_path(dirs, s), {"split_sha256": digest})
         print(
             f"horizon S={s}: trained n_estimators={params.n_estimators} "
             f"max_depth={params.max_depth} on {len(train_ds)} rows -> {_model_path(dirs, s)}"
@@ -303,9 +314,8 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
-    """Re-run the split recorded by ``train`` on the rebuilt dataset, and
-    refuse it unless it deals the very rows the model was trained beside."""
+def _check_split(dirs: dict, s: int, digest: str) -> None:
+    """Refuses horizon S's split unless ``train`` recorded its digest."""
     path = _split_path(dirs, s)
     if not path.exists():
         raise DataError(f"split record {path} missing; run `windramp train` first")
@@ -314,21 +324,11 @@ def _resplit(dirs: dict, s: int, ds: labeling.LabeledDataset):
         record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
         raise DataError(f"{malformed}: {exc}") from exc
-    if not isinstance(record, dict) or set(record) != {"seed", "test_fraction", "split_sha256"} \
-            or not isinstance(record["split_sha256"], str):
-        raise DataError(f"{malformed}: expected exactly the keys seed, test_fraction and split_sha256 (a string)")
-    try:  # the config's checks for the two values the record repeats
-        seed, test_fraction = (_SETTINGS[key].check(key, record[key]) for key in ("seed", "test_fraction"))
-    except ConfigError as exc:
-        raise DataError(f"{malformed}: {exc}") from exc
-    parts = evaluation.stratified_split(ds, test_fraction, seed)
-    if record["split_sha256"] != _split_sha256(*parts):
-        raise DataError(
-            f"horizon S={s}: the split rebuilt from the series and {path.name} differs from "
-            "the one the model was trained on; the series, the labeling config or the split "
-            "record changed since `windramp train`"
-        )
-    return parts
+    if not isinstance(record, dict) or set(record) != {"split_sha256"} or not isinstance(record["split_sha256"], str):
+        raise DataError(f"{malformed}: expected exactly the key split_sha256 (a string); re-run `windramp train`")
+    if record["split_sha256"] != digest:
+        raise DataError(f"horizon S={s}: the split differs from the one the model was trained beside; the series, "
+                        "a labeling setting or a split setting (seed, test_fraction) changed since `windramp train`")
 
 
 def cmd_evaluate(cfg: dict) -> int:
@@ -341,8 +341,9 @@ def cmd_evaluate(cfg: dict) -> int:
             if not model_path.exists():
                 raise DataError(f"model {model_path} missing; run `windramp train` first")
             model = gbrt.load_model(model_path)
-            train_ds, test_ds = _resplit(dirs, s, ds)
+            train_ds, test_ds, digest = _split(cfg, s, ds)
             del ds
+            _check_split(dirs, s, digest)
             yield model, train_ds, test_ds
 
     doc, seconds = evaluation.evaluate_horizons(wps, horizons())

@@ -293,8 +293,9 @@ def evaluate_horizons(
     both parts split from the dataset built from ``series``. Persistence is
     scored on the test rows whose anchor has an observation S steps back
     (all of them when L-1 >= S), and majority predicts the modal class of
-    the train part. Triples are consumed one at a time, so a generator keeps
-    a single horizon in memory.
+    the train part. A predictor that predicts no test row of a horizon is a
+    DataError naming the horizon and the predictor. Triples are consumed one
+    at a time, so a generator keeps a single horizon in memory.
 
     Returns ``(doc, seconds)``. ``doc`` is the content of
     ``evaluation.json``: ``{"models": [...]}`` with one entry for gbrt,
@@ -307,18 +308,12 @@ def evaluate_horizons(
     ``seconds`` maps each predictor to its wall-clock seconds per test
     example and is kept apart from it.
     """
-    scored = {name: ([], [], [0.0, 0]) for name in ("gbrt", "persistence", "majority")}
-
-    def score(name, true, predicted, test: LabeledDataset, seconds: float) -> None:
-        counts = confusion(true, predicted, test.num_classes)
-        per_horizon, horizon_counts, clock = scored[name]
-        per_horizon.append(
-            {**metrics(counts, test.thresholds.rare_class_ids).to_dict(), "steps_ahead": test.horizon.steps_ahead}
-        )
-        horizon_counts.append(counts)
-        clock[0] += seconds
-        clock[1] += len(true)
-
+    predictors = {
+        "gbrt": lambda model, _, test: (test.targets, model.predict_class(test.features)),
+        "persistence": lambda _, __, test: baselines.persistence_predict(series, test),
+        "majority": lambda _, train_ds, test: (test.targets, baselines.majority_predict(train_ds.targets, len(test))),
+    }
+    scored = {name: ([], [], [0.0, 0]) for name in predictors}
     seen = set()
     for model, train_part, test in items:
         if model.n_features != test.horizon.lag_count:
@@ -335,18 +330,18 @@ def evaluate_horizons(
         if s in seen:
             raise DataError(f"duplicate horizon steps_ahead={s}")
         seen.add(s)
-
-        t0 = time.perf_counter()
-        predicted = model.predict_class(test.features)
-        score("gbrt", test.targets, predicted, test, time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        true, predicted = baselines.persistence_predict(series, test)
-        score("persistence", true, predicted, test, time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        majority = baselines.majority_predict(train_part.targets, len(test))
-        score("majority", test.targets, majority, test, time.perf_counter() - t0)
+        for name, predict in predictors.items():
+            t0 = time.perf_counter()
+            true, predicted = predict(model, train_part, test)
+            seconds = time.perf_counter() - t0
+            if not len(true):
+                raise DataError(f"horizon S={s}: {name} predicts no test row, so its confusion matrix is empty")
+            counts = confusion(true, predicted, test.num_classes)
+            per_horizon, horizon_counts, clock = scored[name]
+            per_horizon.append({**metrics(counts, test.thresholds.rare_class_ids).to_dict(), "steps_ahead": s})
+            horizon_counts.append(counts)
+            clock[0] += seconds
+            clock[1] += len(true)
 
     if not seen:
         raise DataError("no (model, train, test) triples given")

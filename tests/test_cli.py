@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from windramp import ParamGrid, generate_series, load_model, load_series, write_series
+from windramp import ParamGrid, WindPowerSeries, generate_series, load_model, load_series, write_series
 from windramp.cli import main
 
 LAGS = 12
@@ -51,8 +51,7 @@ class TestPipeline:
         for s in (1, 3):
             assert load_model(models / f"horizon_{s}.model.json").n_features == LAGS
             record = json.loads((models / f"horizon_{s}.split.json").read_text())
-            assert set(record) == {"seed", "test_fraction", "split_sha256"}
-            assert (record["seed"], record["test_fraction"]) == (4, 0.2)
+            assert set(record) == {"split_sha256"}
         capsys.readouterr()
         assert main(workspace["argv"]("evaluate")) == 0
         reports = workspace["out"] / "reports"
@@ -66,22 +65,14 @@ class TestPipeline:
         assert "pooled accuracy" in out and f"{doc['models'][0]['mean_accuracy']:.4f}" in out
 
     @pytest.mark.parametrize("edit", [
-        lambda r: r.update(seed=-1),
-        lambda r: r.update(seed=1.7),
-        lambda r: r.update(seed=True),
-        lambda r: r.update(seed="1"),
-        lambda r: r.update(test_fraction=float("nan")),
-        lambda r: r.update(test_fraction=1.5),
-        lambda r: r.update(test_fraction=True),
-        lambda r: r.update(test_fraction="0.2"),
         lambda r: r.update(split_sha256=5),
         lambda r: r.update(dataset_sha256=r.pop("split_sha256")),
-        lambda r: r.pop("seed"),
+        lambda r: r.pop("split_sha256"),
         lambda r: r.update(scheme="random"),
         lambda r: r.clear(),
-    ], ids=["seed_negative", "seed_fractional", "seed_bool", "seed_string", "test_fraction_nan", "test_fraction_1.5",
-            "test_fraction_bool", "test_fraction_string", "digest_number", "dataset_digest_key", "missing_key",
-            "extra_key", "empty"])
+        # a record in the earlier format, which also copied the seed and test_fraction
+        lambda r: r.update(seed=4, test_fraction=0.2),
+    ], ids=["digest_number", "dataset_digest_key", "missing_key", "extra_key", "empty", "parent_format"])
     def test_malformed_split_record_exits_3(self, workspace, capsys, edit):
         assert main(workspace["argv"]("train")) == 0
         path = workspace["out"] / "models" / "horizon_1.split.json"
@@ -96,15 +87,18 @@ class TestPipeline:
         err = json.loads(lines[0])
         assert err["error"] == "data" and "malformed split record" in err["message"]
 
-    def test_evaluate_after_split_seed_edited_exits_3(self, workspace, capsys):
-        """A valid seed other than the recorded one deals other rows; scoring
-        them would score training rows, so the record's digest refuses it."""
-        assert main(workspace["argv"]("train")) == 0
-        path = workspace["out"] / "models" / "horizon_1.split.json"
-        record = json.loads(path.read_text())
-        path.write_text(json.dumps({**record, "seed": record["seed"] + 1}))
+    @pytest.mark.parametrize("edit", [
+        lambda argv: argv + ["--seed", "5"],
+        lambda argv: argv + ["--test-fraction", "0.3"],
+        lambda argv: argv[:argv.index("--seed")] + argv[argv.index("--seed") + 2:],
+    ], ids=["seed_5", "test_fraction_0.3", "default_seed"])
+    def test_evaluate_with_other_split_settings_exits_3(self, workspace, capsys, edit):
+        """evaluate splits by its own seed and test_fraction. Settings other
+        than train's deal other rows, and scoring them would score training
+        rows, so the recorded digest refuses them."""
+        assert main(workspace["argv"]("train")) == 0  # --seed 4, default test_fraction 0.2
         capsys.readouterr()
-        assert main(workspace["argv"]("evaluate")) == 3
+        assert main(edit(workspace["argv"]("evaluate"))) == 3
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and captured.out == ""
@@ -124,6 +118,43 @@ class TestPipeline:
         for fragment in ("S=1", fraction, "1488 rows", f"{empty} part"):
             assert fragment in err["message"]
         assert not list((workspace["out"] / "models").iterdir())
+
+    def test_predictor_without_test_rows_exits_3(self, workspace, capsys):
+        """300 segments of 12 points, 20 steps apart: with L=2 and S=6 no
+        anchor has a point 6 steps back in its own segment, so persistence
+        predicts no test row, and the refusal names the horizon and it."""
+        wps = generate_series(3600, rated_capacity_mw=20.0, seed=3)
+        ts = (np.arange(3600) // 12 * 20 + np.arange(3600) % 12 + 1) * 600
+        write_series(WindPowerSeries(ts, wps.powers, 600, 20.0), workspace["csv"])
+        assert main(workspace["argv"]("train", "--lags", "2", "--horizons", "6")) == 0
+        capsys.readouterr()
+        assert main(workspace["argv"]("evaluate", "--lags", "2", "--horizons", "6")) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "data" and "S=6" in err["message"] and "persistence" in err["message"]
+
+    @pytest.mark.parametrize("stage, blocked", [
+        ("prepare", None), ("train", "models/horizon_1.model.json"), ("evaluate", "reports/evaluation.json"),
+    ], ids=["out_is_a_file", "model_path_is_a_directory", "evaluation_report_is_a_directory"])
+    def test_unusable_output_path_exits_2(self, workspace, capsys, stage, blocked):
+        """An output path that cannot be written is a config error naming
+        it, with one JSON line and no traceback."""
+        out = workspace["out"]
+        if stage == "evaluate":
+            assert main(workspace["argv"]("train")) == 0
+        if blocked:
+            (out / blocked).mkdir(parents=True)
+        else:
+            out.write_text("")
+        capsys.readouterr()
+        assert main(workspace["argv"](stage)) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and str(out / (blocked or "")) in err["message"]
 
     def test_evaluate_without_model_exits_3(self, workspace, capsys):
         assert main(workspace["argv"]("evaluate")) == 3
