@@ -10,22 +10,22 @@ loads that series once and builds each horizon's labeled dataset in memory,
 as ``prepare``, ``train`` and ``evaluate`` take it. Every report is a JSON
 document, written once as it was built (sorted keys, 2-space indent):
 
-- ``prepare`` writes ``config.resolved.json`` and
-  ``reports/distribution.json`` (rows and class counts per horizon) and
-  prints one summary line of what it read.
-- ``train`` writes ``config.resolved.json``, and per horizon S
-  ``models/horizon_S.model.json``, the split record
-  ``models/horizon_S.split.json`` and, with a grid,
-  ``reports/grid_horizon_S.json`` (the winning pair and the CV table). The
-  split record holds exactly ``split_sha256``: the sha256 of the train
-  part's and then the test part's features, targets and anchor timestamps.
-  It runs every horizon's grid and final fits on one pool of ``--workers``
-  processes, then writes the outputs in horizon order, and prints one line
-  per horizon.
-- ``evaluate`` splits with its own ``seed`` and ``test_fraction``, which
-  must be the ones ``train`` used: it refuses a split (exit 3) when the
-  record is malformed or the rows it deals do not match ``split_sha256``,
-  whether the series, a labeling setting or a split setting changed. It
+- ``prepare`` writes ``reports/distribution.json`` (rows and class counts
+  per horizon), then ``config.resolved.json``, and prints one summary line
+  of what it read.
+- ``train`` runs every horizon's grid and final fits on one pool of
+  ``--workers`` processes. Then, per horizon S in order, it writes (with a
+  grid) ``reports/grid_horizon_S.json``, the winning pair and the CV table,
+  and ``models/horizon_S.model.json``, and prints one line. Then it writes
+  ``config.resolved.json``, and last ``models/manifest.json``, which maps
+  each "S" to ``{"model_sha256", "split_sha256"}``: the sha256 of the model
+  file, and of the train part's and then the test part's features, targets
+  and anchor timestamps. A failed run leaves the last config and manifest.
+- ``evaluate`` first refuses (exit 3) a manifest that is missing or not a
+  JSON object, or a horizon it does not list. It splits by its own ``seed``
+  and ``test_fraction`` and refuses a horizon whose entry differs from the
+  loaded model's and the dealt rows': the model file, the series, a
+  labeling setting or a split setting changed since ``train``. It
   writes ``reports/evaluation.json`` (the deterministic scores) and
   ``reports/timing.json`` (wall-clock seconds per example). It prints the
   comparison table, which is rendered from those two and not stored.
@@ -239,10 +239,6 @@ def _write_json(path: Path, doc) -> None:
     _write(path, lambda path: path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"))
 
 
-def _split_path(dirs: dict, s: int) -> Path:
-    return dirs["models"] / f"horizon_{s}.split.json"
-
-
 def _model_path(dirs: dict, s: int) -> Path:
     return dirs["models"] / f"horizon_{s}.model.json"
 
@@ -262,9 +258,13 @@ def _split(cfg: dict, s: int, ds: labeling.LabeledDataset):
     return train_ds, test_ds, digest.hexdigest()
 
 
+def _manifest_entry(model: gbrt.GbrtModel, split: str) -> dict:
+    """A horizon's manifest entry. The model document round-trips, so its digest is that of the model file."""
+    return {"model_sha256": hashlib.sha256(gbrt.serialize_model(model).encode()).hexdigest(), "split_sha256": split}
+
+
 def cmd_prepare(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
-    _write_json(dirs["root"] / "config.resolved.json", cfg)
     _, report, datasets = _horizon_datasets(cfg)
     doc = {"horizons": {}}
     for s, ds in datasets:
@@ -275,6 +275,7 @@ def cmd_prepare(cfg: dict) -> int:
             "classes": {str(c): {"count": cnt, "percentage": pct} for c, (cnt, pct) in dist.items()},
         }
     _write_json(dirs["reports"] / "distribution.json", doc)
+    _write_json(dirs["root"] / "config.resolved.json", cfg)
     print(
         f"wrote class distributions for {len(cfg['horizons'])} horizons to {dirs['reports']} "
         f"(rows read {report.rows_read}, dropped {report.rows_dropped}, "
@@ -285,7 +286,6 @@ def cmd_prepare(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
-    _write_json(dirs["root"] / "config.resolved.json", cfg)
     fixed = gbrt.HyperParams(**cfg["hyperparams"])
     grid = cfg["grid"] and evaluation.ParamGrid(
         tuple(cfg["grid"]["n_estimators"]), tuple(cfg["grid"]["max_depth"]), cfg["grid"]["folds"]
@@ -299,6 +299,7 @@ def cmd_train(cfg: dict) -> int:
         parts.append(train_ds)
         digests.append(digest)
     fits = evaluation.fit_horizons(parts, grid, fixed, seed=cfg["seed"], workers=cfg["workers"])
+    manifest = {}
     for s, train_ds, digest, (params, table, model) in zip(cfg["horizons"], parts, digests, fits):
         if grid:
             _write_json(dirs["reports"] / f"grid_horizon_{s}.json", {
@@ -306,44 +307,46 @@ def cmd_train(cfg: dict) -> int:
                 "table": table,
             })
         _write(_model_path(dirs, s), lambda path: gbrt.save_model(model, path))
-        _write_json(_split_path(dirs, s), {"split_sha256": digest})
+        manifest[str(s)] = _manifest_entry(model, digest)
         print(
             f"horizon S={s}: trained n_estimators={params.n_estimators} "
             f"max_depth={params.max_depth} on {len(train_ds)} rows -> {_model_path(dirs, s)}"
         )
+    _write_json(dirs["root"] / "config.resolved.json", cfg)
+    _write_json(dirs["models"] / "manifest.json", manifest)
     return 0
 
 
-def _check_split(dirs: dict, s: int, digest: str) -> None:
-    """Refuses horizon S's split unless ``train`` recorded its digest."""
-    path = _split_path(dirs, s)
+def _read_manifest(dirs: dict, horizons) -> dict:
+    """``train``'s manifest, refused when missing, not a JSON object or without one of ``horizons``."""
+    path = dirs["models"] / "manifest.json"
     if not path.exists():
-        raise DataError(f"split record {path} missing; run `windramp train` first")
-    malformed = f"malformed split record {path}"
+        raise DataError(f"manifest {path} missing; run `windramp train` first")
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
-        raise DataError(f"{malformed}: {exc}") from exc
-    if not isinstance(record, dict) or set(record) != {"split_sha256"} or not isinstance(record["split_sha256"], str):
-        raise DataError(f"{malformed}: expected exactly the key split_sha256 (a string); re-run `windramp train`")
-    if record["split_sha256"] != digest:
-        raise DataError(f"horizon S={s}: the split differs from the one the model was trained beside; the series, "
-                        "a labeling setting or a split setting (seed, test_fraction) changed since `windramp train`")
+        raise DataError(f"malformed manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"malformed manifest {path}: expected a JSON object; re-run `windramp train`")
+    for s in horizons:
+        if str(s) not in manifest:
+            raise DataError(f"horizon S={s} is not in {path}; the last `windramp train` did not fit it")
+    return manifest
 
 
 def cmd_evaluate(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
+    manifest = _read_manifest(dirs, cfg["horizons"])
     wps, _, datasets = _horizon_datasets(cfg)
 
     def horizons():
         for s, ds in datasets:
-            model_path = _model_path(dirs, s)
-            if not model_path.exists():
-                raise DataError(f"model {model_path} missing; run `windramp train` first")
-            model = gbrt.load_model(model_path)
+            model = gbrt.load_model(_model_path(dirs, s))
             train_ds, test_ds, digest = _split(cfg, s, ds)
             del ds
-            _check_split(dirs, s, digest)
+            if manifest[str(s)] != _manifest_entry(model, digest):
+                raise DataError(f"horizon S={s} differs from the manifest: the model file, the series, a labeling "
+                                "setting or a split setting (seed, test_fraction) changed since `windramp train`")
             yield model, train_ds, test_ds
 
     doc, seconds = evaluation.evaluate_horizons(wps, horizons())

@@ -30,6 +30,15 @@ def workspace(tmp_path):
     return {"csv": csv, "config": config, "out": out, "argv": argv}
 
 
+def entry(edit):
+    """An edit of the manifest text: ``edit`` applied to horizon 1's entry."""
+    def edited(text):
+        manifest = json.loads(text)
+        edit(manifest["1"])
+        return json.dumps(manifest)
+    return edited
+
+
 def error_line(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
@@ -48,10 +57,14 @@ class TestPipeline:
     def test_train_runs_without_prepare(self, workspace, capsys):
         assert main(workspace["argv"]("train")) == 0
         models = workspace["out"] / "models"
+        manifest = json.loads((models / "manifest.json").read_text())
+        assert set(manifest) == {"1", "3"}
         for s in (1, 3):
-            assert load_model(models / f"horizon_{s}.model.json").n_features == LAGS
-            record = json.loads((models / f"horizon_{s}.split.json").read_text())
-            assert set(record) == {"split_sha256"}
+            path = models / f"horizon_{s}.model.json"
+            assert load_model(path).n_features == LAGS
+            assert set(manifest[str(s)]) == {"model_sha256", "split_sha256"}
+            assert manifest[str(s)]["model_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert not list(models.glob("*.split.json"))
         capsys.readouterr()
         assert main(workspace["argv"]("evaluate")) == 0
         reports = workspace["out"] / "reports"
@@ -64,28 +77,89 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "pooled accuracy" in out and f"{doc['models'][0]['mean_accuracy']:.4f}" in out
 
-    @pytest.mark.parametrize("edit", [
-        lambda r: r.update(split_sha256=5),
-        lambda r: r.update(dataset_sha256=r.pop("split_sha256")),
-        lambda r: r.pop("split_sha256"),
-        lambda r: r.update(scheme="random"),
-        lambda r: r.clear(),
-        # a record in the earlier format, which also copied the seed and test_fraction
-        lambda r: r.update(seed=4, test_fraction=0.2),
-    ], ids=["digest_number", "dataset_digest_key", "missing_key", "extra_key", "empty", "parent_format"])
-    def test_malformed_split_record_exits_3(self, workspace, capsys, edit):
+    @pytest.mark.parametrize("edit, reason", [
+        (entry(lambda r: r.update(split_sha256=5)), "changed"),
+        (entry(lambda r: r.update(dataset_sha256=r.pop("split_sha256"))), "changed"),
+        (entry(lambda r: r.pop("split_sha256")), "changed"),
+        (entry(lambda r: r.update(scheme="random")), "changed"),
+        (entry(lambda r: r.clear()), "changed"),
+        # the entry in the earlier split record's format, which also copied the seed and test_fraction
+        (entry(lambda r: (r.pop("model_sha256"), r.update(seed=4, test_fraction=0.2))), "changed"),
+        (lambda text: json.dumps([json.loads(text)]), "malformed manifest"),
+        (lambda text: text[:-3], "malformed manifest"),
+    ], ids=["digest_number", "dataset_digest_key", "missing_key", "extra_key", "empty", "parent_format",
+            "not_an_object", "not_json"])
+    def test_malformed_split_record_exits_3(self, workspace, capsys, edit, reason):
+        """Horizon 1's split record is its manifest entry: any edit of it, or
+        of the manifest as a whole, is refused."""
         assert main(workspace["argv"]("train")) == 0
-        path = workspace["out"] / "models" / "horizon_1.split.json"
-        record = json.loads(path.read_text())
-        edit(record)
-        path.write_text(json.dumps(record))
+        path = workspace["out"] / "models" / "manifest.json"
+        path.write_text(edit(path.read_text()))
         capsys.readouterr()
         assert main(workspace["argv"]("evaluate")) == 3
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and captured.out == ""
         err = json.loads(lines[0])
-        assert err["error"] == "data" and "malformed split record" in err["message"]
+        assert err["error"] == "data" and reason in err["message"]
+        if reason == "changed":
+            assert "S=1" in err["message"]
+
+    def test_swapped_model_exits_3(self, workspace, capsys, tmp_path):
+        """A model trained on another split, copied over this run's, would
+        be scored on rows it trained on; its digest refuses it."""
+        other = tmp_path / "other"
+        assert main(workspace["argv"]("train")) == 0
+        assert main(workspace["argv"]("train", "--seed", "5", out_dir=other)) == 0
+        model = workspace["out"] / "models" / "horizon_1.model.json"
+        swapped = (other / "models" / "horizon_1.model.json").read_bytes()
+        assert swapped != model.read_bytes()
+        model.write_bytes(swapped)
+        capsys.readouterr()
+        assert main(workspace["argv"]("evaluate")) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "data" and "S=1" in err["message"] and "model file" in err["message"]
+
+    @pytest.mark.parametrize("stage", ["prepare", "train"])
+    def test_failed_run_leaves_config_and_manifest(self, workspace, capsys, stage):
+        """A run that fails after its config resolved leaves the good run's
+        config.resolved.json (and train's manifest) byte for byte."""
+        out = workspace["out"]
+        assert main(workspace["argv"](stage)) == 0
+        kept = [out / "config.resolved.json"] + ([out / "models" / "manifest.json"] if stage == "train" else [])
+        before = [path.read_bytes() for path in kept]
+        if stage == "train":  # fails at the split, after the series is read
+            failed = workspace["argv"]("train", "--test-fraction", "0.00001")
+        else:  # fails reading the series
+            failed = workspace["argv"]("prepare", "--data", str(workspace["csv"].with_name("missing.csv")))
+        capsys.readouterr()
+        assert main(failed) == 3
+        assert error_line(capsys)["error"] == "data"
+        assert [path.read_bytes() for path in kept] == before
+
+    def test_horizon_not_in_manifest_exits_3(self, workspace, capsys):
+        assert main(workspace["argv"]("train")) == 0  # horizons 1 and 3
+        capsys.readouterr()
+        assert main(workspace["argv"]("evaluate", "--horizons", "1,6")) == 3
+        err = error_line(capsys)
+        assert err["error"] == "data" and "S=6" in err["message"] and "manifest.json" in err["message"]
+
+    def test_parent_layout_exits_3(self, workspace, capsys):
+        """A run directory in the earlier layout, one split record per
+        horizon and no manifest, must be trained again."""
+        assert main(workspace["argv"]("train")) == 0
+        models = workspace["out"] / "models"
+        manifest = json.loads((models / "manifest.json").read_text())
+        for s, record in manifest.items():
+            (models / f"horizon_{s}.split.json").write_text(json.dumps({"split_sha256": record["split_sha256"]}))
+        (models / "manifest.json").unlink()
+        capsys.readouterr()
+        assert main(workspace["argv"]("evaluate")) == 3
+        err = error_line(capsys)
+        assert err["error"] == "data" and "run `windramp train`" in err["message"]
 
     @pytest.mark.parametrize("edit", [
         lambda argv: argv + ["--seed", "5"],
@@ -195,7 +269,7 @@ class TestPipeline:
         assert err["error"] == kind and reason in err["message"]
 
     def test_evaluation_identical_across_workers(self, workspace, tmp_path):
-        """Every model and split file, every grid report and the evaluation
+        """Every model, the manifest, every grid report and the evaluation
         report are byte for byte the same whether the fits of three horizons
         run in this process or on two worker processes."""
         outputs = []
@@ -208,7 +282,7 @@ class TestPipeline:
             files = [out / "reports" / "evaluation.json", *sorted((out / "reports").glob("grid_horizon_*.json")),
                      *sorted((out / "models").glob("*.json"))]
             outputs.append({path.relative_to(out): path.read_bytes() for path in files})
-        assert len(outputs[0]) == 1 + 3 + 6
+        assert len(outputs[0]) == 1 + 3 + 4
         assert outputs[0] == outputs[1]
 
     def test_reports_pinned(self, workspace):
@@ -252,7 +326,7 @@ class TestPipeline:
             assert main(workspace["argv"]("train", "--workers", str(workers), "--horizons", "1,3,6", out_dir=out)) == 0
             assert not list((out / "reports").glob("grid_horizon_*.json"))
             outputs.append({path.name: path.read_bytes() for path in sorted((out / "models").glob("*.json"))})
-        assert len(outputs[0]) == 6
+        assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
 
 

@@ -120,6 +120,14 @@ def grid_parts():
     return parts, ParamGrid(n_estimators_choices=(2, 3), max_depth_choices=(1, 3), folds=3)
 
 
+# numpy's exp kernel family, by the sha256 of np.exp(np.linspace(-5, 5, 1001)).tobytes(); with
+# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" an AVX-512 CPU uses the AVX2 kernels
+EXP_KERNELS = {
+    "690a80482fd7b793b444e8336f5790b6206903678db065ee5a55d46c9716a06e": "avx512",
+    "7066d40dc02dd200671af2f5501c88ca205927070b22843b8a5b4fa8b2f7064c": "avx2",
+}
+
+
 def fits_as_bytes(fits) -> list:
     """Each part's (winning params, CV table JSON, final model document)."""
     return [(best, json.dumps(table), serialize_model(model))
@@ -137,23 +145,32 @@ class TestDeterminism:
             cells = json.loads(table)
             assert len(cells) == 4 and all(len(cell["fold_scores"]) == 3 for cell in cells)
 
-    @pytest.mark.parametrize("params, depth, digest", [
-        (HyperParams(n_estimators=5, max_depth=4), 4,
-         "1ec66739bb34242714b86f725928f9cdb5561cf381ec11b7133bd36a0be1202a"),
+    @pytest.mark.parametrize("params, depth, digests", [
+        (HyperParams(n_estimators=5, max_depth=4), 4, {
+            "avx512": "1ec66739bb34242714b86f725928f9cdb5561cf381ec11b7133bd36a0be1202a",
+            "avx2": "0d7034a906b8d9ba67bdf25c4b8c4bbd25fd492c7327610858ab6526fb83195f",
+        }),
         # the hessian floor stops every tree short of max_depth: the layout is cut to the deepest
-        (HyperParams(n_estimators=5, max_depth=12, min_child_hessian=50.0), 9,
-         "7773042bd9a20ff60b71436b5116f6a272d57a0a08f7717e6b99c0a343696544"),
-    ])
-    def test_raw_scores_pinned(self, params, depth, digest):
+        (HyperParams(n_estimators=5, max_depth=12, min_child_hessian=50.0), 9, {
+            "avx512": "7773042bd9a20ff60b71436b5116f6a272d57a0a08f7717e6b99c0a343696544",
+            "avx2": "4bf71ed5f6dd82090ac24f80c3fc043805b802ea5b0c81441e0cb59fb01e9991",
+        }),
+    ], ids=["depth_4", "hessian_floor_depth_9"])
+    def test_raw_scores_pinned(self, params, depth, digests):
         """Bits of a multi-round fit: gradient updates, shrinkage and the
         cut to the deepest tree. Every sum runs in a fixed order, but softmax
-        and the base score call numpy's exp and log, whose last bits may
-        differ between numpy builds or CPUs: a digest holds for one of them."""
+        and the base score call numpy's exp and log, whose last bits differ
+        between its AVX-512 kernels and its AVX2 (or older) ones, and may
+        between numpy builds. A probe of exp's bits picks the family; a probe
+        with no recorded digests fails and names itself, so its digests can
+        be recorded."""
+        probe = hashlib.sha256(np.exp(np.linspace(-5, 5, 1001)).tobytes()).hexdigest()
+        assert probe in EXP_KERNELS, f"no raw-score digests recorded for numpy's exp kernels with probe {probe}"
         ds = build_dataset(generate_series(4320, seed=1), HorizonSpec(steps_ahead=6, lag_count=36),
                            ThresholdSet.from_fraction(0.5, 20.0))
         model = train(ds, params)
         assert model.feature.shape == (5 * ds.num_classes, 2**depth - 1)
-        assert hashlib.sha256(model.raw_scores(ds.features).tobytes()).hexdigest() == digest
+        assert hashlib.sha256(model.raw_scores(ds.features).tobytes()).hexdigest() == digests[EXP_KERNELS[probe]]
 
     def test_repeat_run_bit_identical(self):
         ds = quadrant_dataset(n=80, seed=5)
