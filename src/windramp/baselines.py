@@ -1,8 +1,9 @@
 """Reference predictors: persistence and majority class.
 
 Persistence predicts the class just observed, scored on a lag-window
-dataset's own rows: for the row anchored at t it predicts the class of
-w(t) - w(t-S), against the row's target, the class of w(t+S) - w(t).
+dataset's own rows: for the row anchored at t it predicts the row's
+``observed`` class, that of w(t) - w(t-S), against its target, the class of
+w(t+S) - w(t).
 """
 
 from __future__ import annotations
@@ -10,32 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .labeling import LabeledDataset, assign_classes
-from .series import WindPowerSeries
+from .labeling import LabeledDataset
 
 
-def persistence_predict(
-    series: WindPowerSeries, dataset: LabeledDataset
-) -> tuple[np.ndarray, np.ndarray]:
+def persistence_predict(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """(true, predicted) classes of persistence on the rows of ``dataset``.
 
-    Each anchor is looked up in the series' ascending timestamps; an anchor
-    the series does not hold is a DataError. A row is kept only when the
-    point S steps back sits exactly S strides earlier, so no prediction
-    reaches across a gap: with L-1 >= S every row is kept, otherwise the
-    first S-(L-1) anchors of each segment are not scored. Rows keep the
-    dataset's order.
+    A row is kept only when it has an observed class (``observed > 0``), so
+    no prediction reaches across a gap: with L-1 >= S every row is kept,
+    otherwise the first S-(L-1) anchors of each segment are not scored.
+    Rows keep the dataset's order.
     """
-    ts, anchors = series.timestamps, dataset.anchor_ts
-    S = dataset.horizon.steps_ahead
-    at = np.minimum(np.searchsorted(ts, anchors), ts.size - 1)
-    missing = ts[at] != anchors
-    if np.any(missing):
-        raise DataError(f"dataset anchor {int(anchors[missing][0])} is not a timestamp of the series")
-    back = at - S
-    keep = (back >= 0) & (ts[back.clip(0)] == anchors - S * series.resolution_s)
-    deltas = series.powers[at[keep]] - series.powers[back[keep]]
-    return dataset.targets[keep], assign_classes(deltas, dataset.thresholds)
+    keep = dataset.observed > 0
+    return dataset.targets[keep], dataset.observed[keep]
 
 
 def majority_predict(train_targets: np.ndarray, n_test: int) -> np.ndarray:

@@ -56,7 +56,7 @@ CONFIG_VERSION = 1
 
 def _read_config_file(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -207,14 +207,15 @@ _SETTINGS = {
 
 
 def _horizon_datasets(cfg: dict):
-    """Load the configured series once. Returns it, its ``LoadReport`` and an
-    iterator of each horizon's ``(S, labeled dataset)``, built as it is taken."""
+    """Load the configured series once. Returns its ``LoadReport`` and an
+    iterator of each horizon's ``(S, labeled dataset)``, built as it is taken.
+    A dataset holds all that scoring reads of the series, persistence too."""
     wps, report = series.load_series(**cfg["data"], resolution_s=cfg["resolution_s"],
                                      rated_capacity_mw=cfg["rated_capacity_mw"])
     thresholds = (labeling.ThresholdSet(tuple(cfg["thresholds_mw"])) if cfg["thresholds_mw"]
                   else labeling.ThresholdSet.from_fraction(cfg["threshold_fraction"], cfg["rated_capacity_mw"]))
-    return wps, report, ((s, labeling.build_dataset(wps, labeling.HorizonSpec(s, cfg["lag_count"]), thresholds))
-                         for s in cfg["horizons"])
+    return report, ((s, labeling.build_dataset(wps, labeling.HorizonSpec(s, cfg["lag_count"]), thresholds))
+                    for s in cfg["horizons"])
 
 
 def _write(path: Path, write) -> None:
@@ -265,7 +266,7 @@ def _manifest_entry(model: gbrt.GbrtModel, split: str) -> dict:
 
 def cmd_prepare(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
-    _, report, datasets = _horizon_datasets(cfg)
+    report, datasets = _horizon_datasets(cfg)
     doc = {"horizons": {}}
     for s, ds in datasets:
         dist = labeling.class_distribution(ds)
@@ -290,7 +291,7 @@ def cmd_train(cfg: dict) -> int:
     grid = cfg["grid"] and evaluation.ParamGrid(
         tuple(cfg["grid"]["n_estimators"]), tuple(cfg["grid"]["max_depth"]), cfg["grid"]["folds"]
     )
-    _, _, datasets = _horizon_datasets(cfg)
+    _, datasets = _horizon_datasets(cfg)
     # keep only each horizon's train part and split digest, not the datasets
     parts, digests = [], []
     for s, ds in datasets:
@@ -337,7 +338,7 @@ def _read_manifest(dirs: dict, horizons) -> dict:
 def cmd_evaluate(cfg: dict) -> int:
     dirs = _out_dirs(cfg)
     manifest = _read_manifest(dirs, cfg["horizons"])
-    wps, _, datasets = _horizon_datasets(cfg)
+    _, datasets = _horizon_datasets(cfg)
 
     def horizons():
         for s, ds in datasets:
@@ -349,7 +350,7 @@ def cmd_evaluate(cfg: dict) -> int:
                                 "setting or a split setting (seed, test_fraction) changed since `windramp train`")
             yield model, train_ds, test_ds
 
-    doc, seconds = evaluation.evaluate_horizons(wps, horizons())
+    doc, seconds = evaluation.evaluate_horizons(horizons())
     # the metrics document stays deterministic; wall-clock goes to its own file
     _write_json(dirs["reports"] / "evaluation.json", doc)
     _write_json(dirs["reports"] / "timing.json", {"seconds_per_example": seconds})

@@ -40,7 +40,6 @@ from . import baselines
 from .errors import ConfigError, DataError, TrainingError
 from .gbrt import GbrtModel, HyperParams, train
 from .labeling import LabeledDataset
-from .series import WindPowerSeries
 
 logger = logging.getLogger(__name__)
 
@@ -284,18 +283,17 @@ def fit_horizons(
 
 
 def evaluate_horizons(
-    series: WindPowerSeries,
     items: Iterable[tuple[GbrtModel, LabeledDataset, LabeledDataset]],
 ) -> tuple[dict, dict[str, float]]:
     """Score GBRT, persistence and majority on each horizon's test rows.
 
     ``items`` holds one (model, train part, test part) triple per horizon,
-    both parts split from the dataset built from ``series``. Persistence is
-    scored on the test rows whose anchor has an observation S steps back
-    (all of them when L-1 >= S), and majority predicts the modal class of
-    the train part. A predictor that predicts no test row of a horizon is a
-    DataError naming the horizon and the predictor. Triples are consumed one
-    at a time, so a generator keeps a single horizon in memory.
+    both parts split from one horizon's dataset. Persistence is scored on
+    the test rows with an observed class (all of them when L-1 >= S), and
+    majority predicts the modal class of the train part. A predictor that
+    predicts no test row of a horizon is a DataError naming the horizon and
+    the predictor. Triples are consumed one at a time, so a generator keeps
+    a single horizon in memory.
 
     Returns ``(doc, seconds)``. ``doc`` is the content of
     ``evaluation.json``: ``{"models": [...]}`` with one entry for gbrt,
@@ -310,7 +308,7 @@ def evaluate_horizons(
     """
     predictors = {
         "gbrt": lambda model, _, test: (test.targets, model.predict_class(test.features)),
-        "persistence": lambda _, __, test: baselines.persistence_predict(series, test),
+        "persistence": lambda _, __, test: baselines.persistence_predict(test),
         "majority": lambda _, train_ds, test: (test.targets, baselines.majority_predict(train_ds.targets, len(test))),
     }
     scored = {name: ([], [], [0.0, 0]) for name in predictors}

@@ -392,8 +392,6 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     n = len(dataset)
     if n == 0:
         raise TrainingError("empty dataset")
-    if not np.all(np.isfinite(X)):
-        raise TrainingError("non-finite feature values")
     num_classes = dataset.num_classes
     y = dataset.targets - 1
     if np.unique(y).size < 2:

@@ -3,6 +3,8 @@
 Turns a power series into per-horizon classification datasets: the power
 change over an S-step window, its ramp class against ordered thresholds,
 and a feature row of the last L raw power values ending at each anchor.
+Each row also carries the class persistence predicts, so only this module
+decides which anchors have an observation S steps back.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ class LabeledDataset:
     """Lag-feature matrix plus ramp-class targets for one horizon.
 
     ``features[i]`` is (w(t-L+1), ..., w(t)) for anchor t; ``targets[i]`` is
-    the class of w(t+S) - w(t). ``anchor_ts`` keeps each row's anchor
-    timestamp so rows stay joinable with baseline predictions after
-    splitting.
+    the class of w(t+S) - w(t). ``observed[i]`` is the class of
+    w(t) - w(t-S), or 0 when t-S lies before the anchor's segment.
+    ``anchor_ts`` holds each row's anchor timestamp, which the split digest pins.
     """
 
     features: np.ndarray
@@ -88,6 +90,7 @@ class LabeledDataset:
     horizon: HorizonSpec
     thresholds: ThresholdSet
     anchor_ts: np.ndarray
+    observed: np.ndarray
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -107,11 +110,12 @@ class LabeledDataset:
         ts = np.ascontiguousarray(self.anchor_ts, dtype=np.int64)
         if ts.shape != (X.shape[0],):
             raise DataError("anchor_ts length must match feature rows")
-        for arr in (X, y, ts):
+        seen = np.ascontiguousarray(self.observed, dtype=np.int64)
+        if seen.shape != y.shape or (seen.size and (seen.min() < 0 or seen.max() > self.thresholds.num_classes)):
+            raise DataError(f"observed must hold one id in 0..{self.thresholds.num_classes} per row")
+        for name, arr in (("features", X), ("targets", y), ("anchor_ts", ts), ("observed", seen)):
             arr.setflags(write=False)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "anchor_ts", ts)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return int(self.targets.size)
@@ -128,6 +132,7 @@ class LabeledDataset:
             horizon=self.horizon,
             thresholds=self.thresholds,
             anchor_ts=self.anchor_ts[rows],
+            observed=self.observed[rows],
         )
 
 
@@ -155,34 +160,29 @@ def build_dataset(
     For every anchor t with a full lag window behind it and S observed steps
     ahead of it (within a single segment), the feature row is the last L
     powers ending at t and the target is the class of w(t+S) - w(t). Rows
-    never straddle segment gaps.
+    never straddle segment gaps. Each segment's S-step changes are classed
+    once: the row at t takes ``change[t]`` as its target and ``change[t-S]``
+    as its observed class, 0 for the first S-(L-1) anchors when L-1 < S.
     """
     L, S = horizon.lag_count, horizon.steps_ahead
-    feats: list[np.ndarray] = []
-    targs: list[np.ndarray] = []
-    anchors: list[np.ndarray] = []
+    parts = []  # per segment: (windows, targets, anchor timestamps, observed classes)
     for ts, pw in series.segments():
         n = pw.size
         count = n - L - S + 1
         if count <= 0:
             continue
         # anchor indices L-1 .. n-S-1; row j of the window view starts at w(j)
-        windows = np.lib.stride_tricks.sliding_window_view(pw, L)[:count]
-        deltas = pw[L - 1 + S:] - pw[L - 1:n - S]
-        feats.append(windows)
-        targs.append(assign_classes(deltas, thresholds))
-        anchors.append(ts[L - 1:n - S])
-    if not feats:
+        change = assign_classes(pw[S:] - pw[:n - S], thresholds)
+        back = np.arange(L - 1 - S, n - 2 * S)  # t-S for each anchor t; a slice would wrap when n < 2S
+        parts.append((np.lib.stride_tricks.sliding_window_view(pw, L)[:count], change[L - 1:], ts[L - 1:n - S],
+                      np.where(back >= 0, change[back.clip(0)], 0)))
+    if not parts:
         raise DataError(
             f"no segment is long enough for lag_count={L} and steps_ahead={S}"
         )
-    return LabeledDataset(
-        features=np.vstack(feats),
-        targets=np.concatenate(targs),
-        horizon=horizon,
-        thresholds=thresholds,
-        anchor_ts=np.concatenate(anchors),
-    )
+    features, targets, anchor_ts, observed = (np.concatenate(arrays) for arrays in zip(*parts))
+    return LabeledDataset(features=features, targets=targets, horizon=horizon, thresholds=thresholds,
+                          anchor_ts=anchor_ts, observed=observed)
 
 
 def class_distribution(dataset: LabeledDataset) -> dict[int, tuple[int, float]]:

@@ -53,6 +53,7 @@ def make_dataset(features, targets, thresholds=None, steps_ahead=1):
         horizon=HorizonSpec(steps_ahead=steps_ahead, lag_count=features.shape[1]),
         thresholds=thresholds,
         anchor_ts=np.arange(features.shape[0]),
+        observed=np.zeros(features.shape[0], dtype=np.int64),
     )
 
 

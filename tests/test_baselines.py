@@ -5,7 +5,6 @@ from windramp import (
     DataError,
     HorizonSpec,
     HyperParams,
-    LabeledDataset,
     build_dataset,
     evaluate_horizons,
     train,
@@ -42,7 +41,7 @@ def naive_persistence(powers, lag_count, steps, threshold):
 def score_persistence(wps, steps, lag_count, thresholds):
     """Persistence on every row of the (steps, lag_count) dataset of ``wps``."""
     horizon = HorizonSpec(steps_ahead=steps, lag_count=lag_count)
-    return persistence_predict(wps, build_dataset(wps, horizon, thresholds))
+    return persistence_predict(build_dataset(wps, horizon, thresholds))
 
 
 class TestPersistence:
@@ -95,7 +94,7 @@ class TestPersistence:
         wps = make_series(walk, capacity=80.0)
         for steps, lag_count in [(1, 8), (2, 8), (6, 3)]:
             ds = build_dataset(wps, HorizonSpec(steps_ahead=steps, lag_count=lag_count), single_threshold)
-            true, _ = persistence_predict(wps, ds)
+            true, _ = persistence_predict(ds)
             # only the first S-(L-1) anchors lack an observation S steps back
             unscored = max(0, steps - (lag_count - 1))
             assert np.array_equal(true, ds.targets[unscored:])
@@ -118,19 +117,11 @@ class TestPersistence:
     def test_restrict_to_anchor_subset(self, single_threshold):
         wps = make_series(np.linspace(0, 19, 20))
         ds = build_dataset(wps, HorizonSpec(steps_ahead=1, lag_count=2), single_threshold)
-        full_true, full_pred = persistence_predict(wps, ds)
+        full_true, full_pred = persistence_predict(ds)
         subset = ds.select(np.arange(0, len(ds), 2))
-        true, pred = persistence_predict(wps, subset)
+        true, pred = persistence_predict(subset)
         assert np.array_equal(true, subset.targets)
         assert np.array_equal(pred, full_pred[::2])
-
-    def test_anchor_not_in_series_rejected(self, single_threshold):
-        wps = make_series(np.linspace(0, 19, 20))
-        ds = build_dataset(wps, HorizonSpec(steps_ahead=1, lag_count=2), single_threshold)
-        for shift in (1, 10**6):
-            moved = LabeledDataset(ds.features, ds.targets, ds.horizon, ds.thresholds, ds.anchor_ts + shift)
-            with pytest.raises(DataError, match="not a timestamp"):
-                persistence_predict(wps, moved)
 
     def test_too_short_series(self, single_threshold):
         # three 4-point segments, S=2, L=1: each segment's two anchors sit
@@ -138,11 +129,11 @@ class TestPersistence:
         wps = make_series([5.0, 1.0, 9.0, 0.0] * 3, gaps_at=(4, 8))
         ds = build_dataset(wps, HorizonSpec(steps_ahead=2, lag_count=1), single_threshold)
         assert len(ds) == 6
-        true, pred = persistence_predict(wps, ds)
+        true, pred = persistence_predict(ds)
         assert true.size == pred.size == 0
         model = train(ds, HyperParams(n_estimators=1, max_depth=1))
         with pytest.raises(DataError, match="empty"):
-            evaluate_horizons(wps, [(model, ds, ds)])
+            evaluate_horizons([(model, ds, ds)])
 
 
 class TestMajority:

@@ -450,6 +450,14 @@ class TestConfig:
         assert cfg["workers"] == 1 and cfg["resolution_s"] == 600  # defaults
         assert cfg["horizons"] == [1, 3]
 
+    def test_config_with_byte_order_mark(self, workspace):
+        config, out = workspace["config"], workspace["out"]
+        assert main(workspace["argv"]("prepare", out_dir=out / "plain")) == 0
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert main(workspace["argv"]("prepare", out_dir=out / "bom")) == 0
+        plain, bom = ((out / run / "reports" / "distribution.json").read_bytes() for run in ("plain", "bom"))
+        assert bom == plain
+
     def test_threshold_fraction_flag_clears_config_thresholds(self, workspace):
         workspace["config"].write_text(json.dumps({"version": 1, "thresholds_mw": [8.0]}))
         resolved = workspace["out"] / "config.resolved.json"

@@ -325,7 +325,7 @@ class TestMultiHorizon:
     def test_mean_of_constant_f1(self):
         wps = generate_series(600, seed=2)
         triples = self._triples(wps, (1, 2, 3))
-        doc, seconds = evaluate_horizons(wps, iter(triples))
+        doc, seconds = evaluate_horizons(iter(triples))
         names = ["gbrt", "persistence", "majority"]
         assert [entry["model"] for entry in doc["models"]] == names
         # wall-clock stays out of the document
@@ -335,7 +335,7 @@ class TestMultiHorizon:
         assert list(seconds) == names and min(seconds.values()) >= 0.0
         predictions = {
             "gbrt": lambda model, _, test: (test.targets, model.predict_class(test.features)),
-            "persistence": lambda _, __, test: persistence_predict(wps, test),
+            "persistence": lambda _, __, test: persistence_predict(test),
             "majority": lambda _, train_ds, test: (test.targets, majority_predict(train_ds.targets, len(test))),
         }
         for entry in doc["models"]:
@@ -370,8 +370,8 @@ class TestMultiHorizon:
         (_, train_a, test_a), (_, train_b, test_b) = self._triples(wps, (1, 2))
         half = len(test_b) // 2
         guesses = np.concatenate([test_b.targets[:half], np.where(test_b.targets[half:] == 1, 2, 1)])
-        doc, _ = evaluate_horizons(wps, [(self._Fixed(test_a.targets), train_a, test_a),
-                                         (self._Fixed(guesses), train_b, test_b)])
+        doc, _ = evaluate_horizons([(self._Fixed(test_a.targets), train_a, test_a),
+                                    (self._Fixed(guesses), train_b, test_b)])
         gbrt = doc["models"][0]
         assert [r["accuracy"] for r in gbrt["per_horizon"]] == [1.0, half / len(test_b)]
         assert gbrt["mean_accuracy"] == pytest.approx((1.0 + half / len(test_b)) / 2, abs=1e-12)
@@ -382,10 +382,10 @@ class TestMultiHorizon:
         (model, _, _), = self._triples(wps, (1,), lag_count=4)
         (_, train_ds, test_ds), = self._triples(wps, (1,), lag_count=5)
         with pytest.raises(DataError, match="mismatch"):
-            evaluate_horizons(wps, [(model, train_ds, test_ds)])
+            evaluate_horizons([(model, train_ds, test_ds)])
 
     def test_duplicate_horizon_rejected(self):
         wps = generate_series(400, seed=2)
         triple, = self._triples(wps, (1,))
         with pytest.raises(DataError, match="duplicate"):
-            evaluate_horizons(wps, [triple, triple])
+            evaluate_horizons([triple, triple])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from windramp import DataError, HorizonSpec, ThresholdSet, build_dataset
+from windramp import DataError, HorizonSpec, LabeledDataset, ThresholdSet, build_dataset
 from windramp.labeling import assign_classes, class_distribution
 
 from .conftest import make_dataset, make_series
@@ -135,6 +135,41 @@ class TestBuildDataset:
         ds2 = build_dataset(make_series(base + 7.0, capacity=40.0), horizon, single_threshold)
         assert np.array_equal(ds1.targets, ds2.targets)
 
+    def test_observed_matches_scalar_reference(self):
+        # every n <= 15 and L, S <= 7, as one segment and split by a gap:
+        # covers L-1 < S, segments shorter than 2S and segments with no row
+        rng = np.random.default_rng(11)
+        thresholds = ThresholdSet((2.0, 5.0))
+        checked = 0
+        for n in range(1, 16):
+            powers = rng.uniform(0, 10, size=n)
+            for gaps_at in ((), (n // 2,)) if n > 1 else ((),):
+                wps = make_series(powers, gaps_at=gaps_at)
+                for L in range(1, 8):
+                    for S in range(1, 8):
+                        want_targets, want_observed = [], []
+                        for segment in np.split(powers, gaps_at):
+                            for t in range(L - 1, segment.size - S):
+                                want_targets.append(naive_class(segment[t + S] - segment[t], (2.0, 5.0)))
+                                want_observed.append(naive_class(segment[t] - segment[t - S], (2.0, 5.0))
+                                                     if t >= S else 0)
+                        if not want_targets:
+                            with pytest.raises(DataError, match="no segment"):
+                                build_dataset(wps, HorizonSpec(S, L), thresholds)
+                            continue
+                        ds = build_dataset(wps, HorizonSpec(S, L), thresholds)
+                        assert ds.targets.tolist() == want_targets
+                        assert ds.observed.tolist() == want_observed
+                        checked += 1
+        assert checked > 400
+
+    def test_observed_selected_with_its_rows(self, single_threshold):
+        wps = make_series([0.0, 11.0, 0.0, 5.0, 16.0, 4.0, 4.0])
+        ds = build_dataset(wps, HorizonSpec(steps_ahead=1, lag_count=1), single_threshold)
+        assert ds.observed.tolist() == [0, 4, 1, 3, 4, 1]
+        assert ds.select(np.array([5, 0, 2])).observed.tolist() == [1, 0, 1]
+        assert not ds.observed.flags.writeable
+
     def test_scale_covariance(self):
         rng = np.random.default_rng(1)
         base = rng.uniform(0, 15, size=40)
@@ -142,6 +177,15 @@ class TestBuildDataset:
         ds1 = build_dataset(make_series(base, capacity=20.0), horizon, ThresholdSet((4.0,)))
         ds2 = build_dataset(make_series(base * 3.0, capacity=60.0), horizon, ThresholdSet((12.0,)))
         assert np.array_equal(ds1.targets, ds2.targets)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("observed", [[0, 1, 2], [0, 1, 2, 3, 4], [0, -1, 2, 3], [0, 1, 5, 3]],
+                             ids=["short", "long", "negative", "above_num_classes"])
+    def test_bad_observed_rejected(self, single_threshold, observed):
+        with pytest.raises(DataError, match="observed"):
+            LabeledDataset(features=np.zeros((4, 2)), targets=[1, 2, 3, 4], horizon=HorizonSpec(1, 2),
+                           thresholds=single_threshold, anchor_ts=np.arange(4), observed=observed)
 
 
 class TestClassDistribution:
