@@ -181,7 +181,8 @@ _SETTINGS = {
                                                          _string), "delimited input series file"),
     "data.timestamp_column": _Setting("--timestamp-column", "timestamp", str, _string),
     "data.power_column": _Setting("--power-column", "power_mw", str, _string),
-    "data.delimiter": _Setting("--delimiter", ",", str, _must_be(lambda v: len(v) == 1, "one character", _string)),
+    "data.delimiter": _Setting("--delimiter", ",", str, _must_be(lambda v: len(v) == 1 and v not in "\r\n",
+                                                                 "one character other than a line break", _string)),
     "resolution_s": _Setting("--resolution-s", 600, int, _number(int, *_AT_LEAST_1)),
     "rated_capacity_mw": _Setting("--capacity-mw", None, float, _required(
         "rated capacity is required (config rated_capacity_mw or --capacity-mw)", _number(float, *_POSITIVE))),

@@ -1,15 +1,19 @@
 """Wind-power time series ingestion.
 
 Reads delimited text exports (one record per line, a timestamp column and a
-power column) into an immutable, uniformly sampled series. Missing steps
-never get interpolated: the series is split into contiguous segments at any
-gap, and downstream differencing/windowing never crosses a segment boundary.
+power column) into an immutable, uniformly sampled series: by ``np.loadtxt``
+where it reads the file as ``csv`` would, else by a row parser over ``csv``
+(see ``load_series``). Missing steps never get interpolated: the series is
+split into contiguous segments at any gap, and downstream
+differencing/windowing never crosses a segment boundary.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator
@@ -159,18 +163,52 @@ def load_series(
     rated_capacity_mw] are hard errors. Any missing step starts a new
     segment; no power value is ever fabricated.
 
+    The file is read once. Integer timestamps and plain numbers, as
+    ``write_series`` writes them, are parsed by ``np.loadtxt``; the row
+    parser reads any other file (quotes, blank rows, ISO-8601, a fault) and
+    alone names a faulty line. Both give the same result for every file.
+
     Returns the series together with a LoadReport (rows read / dropped blank
     rows / gaps split / segment count).
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # -sig: skips a byte-order mark
-            ts, pw, rows_dropped = _read_columns(csv.reader(fh, delimiter=delimiter), timestamp_column, power_column)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        columns = _loadtxt_columns(raw, timestamp_column, power_column, delimiter)
+        if columns is None:  # a stream, as from the file: a fault in an earlier row comes before undecodable bytes
+            with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:  # -sig: skips a BOM
+                columns = _read_columns(csv.reader(fh, delimiter=delimiter), timestamp_column, power_column)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read series file {path}: {exc}") from exc
+    ts, pw, rows_dropped = columns
     order = np.argsort(ts, kind="stable")
     series = WindPowerSeries(timestamps=ts[order], powers=pw[order], resolution_s=resolution_s,
                              rated_capacity_mw=rated_capacity_mw)
     return series, LoadReport(rows_read=ts.size, rows_dropped=rows_dropped, segments=len(series.segment_bounds))
+
+
+def _loadtxt_columns(raw: bytes, timestamp_column: str, power_column: str, delimiter: str) -> tuple | None:
+    """``_read_columns``' result for the file's bytes ``raw`` by
+    ``np.loadtxt``, or None where the row parser could read them otherwise."""
+    text = raw.decode("utf-8-sig", "replace")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    # csv alone: bytes not UTF-8, quotes, NUL, a bare \r, a field past its size limit, whitespace delimiters
+    if (any(c in text for c in '\ufffd"\0') or len(delimiter) != 1 or delimiter.isspace()
+            or np.count_nonzero(buf == ord("\r")) != np.count_nonzero(buf[ends[ends > 0] - 1] == ord("\r"))
+            or np.diff(ends, prepend=-1, append=buf.size).max() > csv.field_size_limit()):
+        return None
+    header = [h.strip() for h in text.partition("\n")[0].split(delimiter)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no data rows; on older numpy, an integer parsed via a float (600.0)
+        try:
+            rows = np.loadtxt(io.StringIO(text), delimiter=delimiter, skiprows=1, comments=None, ndmin=1,
+                              usecols=(header.index(timestamp_column), header.index(power_column)),
+                              dtype=[("t", np.int64), ("p", np.float64)])
+        except (ValueError, Warning):  # a column missing from the header too
+            return None
+    # one row per line after the header: loadtxt skips a blank line, which the row parser counts as dropped
+    return (rows["t"], rows["p"], 0) if rows.size == ends.size - (raw[-1:] == b"\n") else None
 
 
 def _read_columns(reader, timestamp_column: str, power_column: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -217,11 +255,17 @@ def write_series(series: WindPowerSeries, path, *, timestamp_column: str = "time
     ``delimiter`` (the keywords and defaults of ``load_series``).
 
     Powers are written with shortest round-trip formatting, so reloading
-    yields bitwise-equal values.
+    yields bitwise-equal values. The bytes are those ``csv.writer`` writes:
+    rows are formatted directly in blocks, unless the delimiter can occur in
+    a number and a field may need quotes.
     """
+    may_need_quotes = delimiter in '+-.0123456789e"\r\n'
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow([timestamp_column, power_column])
-        for t, p in zip(series.timestamps, series.powers):
-            writer.writerow([int(t), repr(float(p))])
-
+        for start in range(0, len(series), 4096):
+            rows = zip(series.timestamps[start:start + 4096].tolist(), series.powers[start:start + 4096].tolist())
+            if may_need_quotes:
+                writer.writerows([t, repr(p)] for t, p in rows)
+            else:
+                fh.write("".join(f"{t}{delimiter}{p!r}\r\n" for t, p in rows))

@@ -536,6 +536,13 @@ class TestConfig:
         err = json.loads(lines[0])
         assert err["error"] == "config" and key in err["message"]
 
+    @pytest.mark.parametrize("delimiter", ["\n", "\r"], ids=["lf", "cr"])
+    def test_line_break_delimiter_exits_2(self, workspace, capsys, delimiter):
+        """write_series would write such a file, but no row of it splits into cells."""
+        assert main(workspace["argv"]("prepare", "--delimiter", delimiter)) == 2
+        err = error_line(capsys)
+        assert err["error"] == "config" and "other than a line break" in err["message"]
+
     @pytest.mark.parametrize("flag, key, text", [
         ("--resolution-s", "resolution_s", "abc"), ("--resolution-s", "resolution_s", "1.5"),
         ("--capacity-mw", "rated_capacity_mw", "abc"), ("--threshold-fraction", "threshold_fraction", "abc"),

@@ -1,14 +1,17 @@
-"""Property tests: labeling, series round trip, split and fold proportions, tree
-growth and the stacked-tree walker against per-node and per-row oracles,
-and the predict command on fuzzed model documents.
+"""Property tests: labeling, series round trip, the series' two parsers,
+split and fold proportions, tree growth and the stacked-tree walker against
+per-node and per-row oracles, and the predict command on fuzzed model
+documents.
 
 Every test runs with ``derandomize=True``, so each run draws the same
 examples and tier-1 stays deterministic.
 """
 
 import contextlib
+import csv
 import io
 import json
+from datetime import datetime, timezone
 from unittest import mock
 
 import numpy as np
@@ -18,11 +21,12 @@ from hypothesis import strategies as st
 
 from windramp import (DataError, HyperParams, ThresholdSet, WindPowerSeries, load_series, stratified_split, train,
                       write_series)
-from windramp import gbrt
+from windramp import gbrt, series
 from windramp.cli import main
 from windramp.evaluation import stratified_folds
 from windramp.gbrt import bin_columns, deserialize_model, grow_tree, serialize_model, softmax
 from windramp.labeling import assign_classes
+from windramp.series import LoadReport
 
 from .conftest import make_dataset, quadrant_dataset
 from .oracles import brute_force_tree, document_scores, naive_class
@@ -81,6 +85,90 @@ def test_series_round_trip_bit_for_bit(tmp_path_factory, wps):
     assert back.powers.tobytes() == wps.powers.tobytes()
     assert back.segment_bounds == wps.segment_bounds
     assert report.gaps == len(wps.segment_bounds) - 1
+
+
+# cells and lines one parser may read otherwise than the other; {t} is the row's timestamp
+_TIMESTAMP_CELLS = ["+{t}", "0{t}", " {t} ", "{t}.0", "{t}e0", "1e3", "{iso}", "9223372036854775808",
+                    "-9223372036854775809", "\u0663\u0660\u0660", "1_0", "nan", "", "{t}\x00"]
+_POWER_CELLS = ["1_0", "nan", "1e400", ".5", "0x1p3", '"1.5"', " 2.5 ", "", "-0.0", "25", "1e-5", "\u0661", "inf",
+                "\xa01", '1"5']
+_LINES = ["", " ", "\t", "{row}{d}9", "{first}", "{row}\x00", '"{row}"', "\ufeff{row}"]
+_ENDS = ["\n", "\r", "", "\r\r\n"]
+
+
+@st.composite
+def series_files(draw):
+    """A series file's bytes and its load_series keywords: rows as
+    write_series writes them, maybe with an extra column, then up to four
+    edits of a cell, a line or a line end, and maybe a byte-order mark
+    or a byte that is not UTF-8."""
+    delimiter = draw(st.sampled_from([",", ";", ".", "e", "|", "\t"]))
+    names = draw(st.sampled_from([("timestamp", "power_mw"), ("t", "mw")]))
+    header = draw(st.permutations([*names, *draw(st.sampled_from([[], ["x"]]))]))
+    n = draw(st.integers(0, 5))
+    powers = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
+    # a quoted cell that holds delimiters, where csv and a plain split see other columns
+    x = draw(st.sampled_from(["x", '"{d}{t}{d}2.5{d}"']))
+    cells = [dict(zip(names, (str(600 * (i + 1)), repr(p))), x=x.format(d=delimiter, t=600 * (i + 1)))
+             for i, p in enumerate(powers)]
+    lines = [delimiter.join(header)] + [delimiter.join(row[name] for name in header) for row in cells]
+    ends = ["\r\n"] * len(lines)
+    for kind, at, choice in draw(st.lists(st.tuples(st.sampled_from(["timestamp", "power", "line", "end"]),
+                                                    st.integers(0, 5), st.integers(0, 15)), max_size=4)):
+        i = at % len(lines)
+        if kind == "end":
+            ends[i] = _ENDS[choice % len(_ENDS)]
+        elif kind == "line":
+            row = lines[i]
+            lines[i] = _LINES[choice % len(_LINES)].format(row=row, d=delimiter, first=row.split(delimiter)[0])
+        elif i > 0:
+            row = cells[i - 1]
+            t = 600 * i
+            if kind == "timestamp":
+                row[names[0]] = _TIMESTAMP_CELLS[choice % len(_TIMESTAMP_CELLS)].format(
+                    t=t, iso=datetime.fromtimestamp(t, timezone.utc).isoformat())
+            else:
+                row[names[1]] = _POWER_CELLS[choice % len(_POWER_CELLS)]
+            lines[i] = delimiter.join(row[name] for name in header)
+    data = b"".join((line + end).encode("utf-8") for line, end in zip(lines, ends))
+    prefix, suffix = draw(st.sampled_from([(b"", b""), (b"\xef\xbb\xbf", b""), (b"", b"\xff\n")]))
+    columns = {"timestamp_column": names[0], "power_column": names[1], "delimiter": delimiter}
+    return prefix + data + suffix, columns
+
+
+def _row_parser_load(path, *, resolution_s, rated_capacity_mw, timestamp_column, power_column, delimiter):
+    """load_series as it read every file before it had a loadtxt path: the
+    file streamed through the row parser."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            ts, pw, dropped = series._read_columns(csv.reader(fh, delimiter=delimiter), timestamp_column,
+                                                   power_column)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read series file {path}: {exc}") from exc
+    order = np.argsort(ts, kind="stable")
+    wps = WindPowerSeries(timestamps=ts[order], powers=pw[order], resolution_s=resolution_s,
+                          rated_capacity_mw=rated_capacity_mw)
+    return wps, LoadReport(rows_read=ts.size, rows_dropped=dropped, segments=len(wps.segment_bounds))
+
+
+def _outcome(load, path, columns):
+    """The arrays' bytes and the report, or the DataError's message."""
+    try:
+        wps, report = load(path, resolution_s=600, rated_capacity_mw=20.0, **columns)
+    except DataError as exc:
+        return str(exc)
+    return wps.timestamps.tobytes(), wps.powers.tobytes(), report
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(case=series_files())
+def test_load_series_agrees_with_the_row_parser(tmp_path_factory, case):
+    """Whichever path load_series takes, it gives the row parser's arrays
+    bit for bit and its report, or its DataError message."""
+    data, columns = case
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    path.write_bytes(data)
+    assert _outcome(load_series, path, columns) == _outcome(_row_parser_load, path, columns)
 
 
 @PROPERTY

@@ -1,9 +1,11 @@
+import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
-from windramp import DataError, WindPowerSeries, generate_series, load_series, write_series
+from windramp import DataError, WindPowerSeries, generate_series, load_series, series, write_series
 
 
 def load_text(tmp_path, text, **columns):
@@ -160,6 +162,83 @@ def test_round_trip_preserves_gaps(tmp_path):
     assert np.array_equal(back.timestamps, wps.timestamps)
     assert back.powers.tobytes() == wps.powers.tobytes()
     assert back.segment_bounds == wps.segment_bounds
+
+
+def _row_parser_spy(monkeypatch):
+    """Count the calls of the row parser, which still parses."""
+    calls = []
+    read = series._read_columns
+    monkeypatch.setattr(series, "_read_columns", lambda *args: calls.append(args) or read(*args))
+    return calls
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "|"])
+def test_written_files_take_the_loadtxt_path(tmp_path, monkeypatch, delimiter):
+    """A guard too strict for write_series' own files would lose the
+    loadtxt path's speed without failing any other test."""
+    wps = generate_series(500, seed=3)
+    path = tmp_path / "series.csv"
+    write_series(wps, path, delimiter=delimiter)
+    calls = _row_parser_spy(monkeypatch)
+    back, report = load_series(path, resolution_s=600, rated_capacity_mw=20.0, delimiter=delimiter)
+    assert calls == []
+    assert back.timestamps.tobytes() == wps.timestamps.tobytes()
+    assert back.powers.tobytes() == wps.powers.tobytes()
+    assert (report.rows_read, report.rows_dropped) == (500, 0)
+
+
+@pytest.mark.parametrize("text, rows_read, rows_dropped", [
+    ("timestamp,power_mw\n600,1.0\n\n1200,2.0\n", 2, 1),  # loadtxt skips a blank line without counting it
+    ("timestamp,power_mw\r\n600,1.0\r\n \t\r\n1200,2.0", 2, 1),
+    ('timestamp,power_mw\n600,"1.0"\n1200,2.0\n', 2, 0),
+    ('x,timestamp,power_mw\n",600,2.5,",600,1.0\nx,1200,2.0\n', 2, 0),  # split on commas, 2.5 is the power
+    ("timestamp,power_mw\r600,1.0\r1200,2.0\r", 2, 0),  # bare \r ends a row only for csv
+    ("timestamp,power_mw\n600,1.0\r1200,2.0\n\n", 2, 1),  # as many lines as rows loadtxt reads
+    ("timestamp,power_mw\n1970-01-01T00:10:00,1.0\n1200,2.0\n", 2, 0),
+    ("timestamp,power_mw\n600.0,1.0\n1200,2.0\n", 2, 0),
+], ids=["blank_line", "whitespace_line", "quoted_power", "quoted_delimiters", "bare_cr", "bare_cr_and_blank_line",
+        "iso_timestamp", "float_timestamp"])
+def test_files_loadtxt_would_misread_take_the_row_parser(tmp_path, monkeypatch, text, rows_read, rows_dropped):
+    calls = _row_parser_spy(monkeypatch)
+    wps, report = load_text(tmp_path, text)
+    assert len(calls) == 1
+    assert wps.timestamps.tolist() == [600, 1200] and wps.powers.tolist() == [1.0, 2.0]
+    assert (report.rows_read, report.rows_dropped) == (rows_read, rows_dropped)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"note,timestamp,power_mw\n\xff,600,1.0\n", "cannot read series file"),
+    # the file is decoded as a stream, in chunks of 8 KiB: a faulty row in an earlier chunk is reported first
+    (b"timestamp,power_mw\n600,oops\n" + b"".join(b"%d,1.0\n" % (600 * i) for i in range(2, 2000)) + b"\xff\n",
+     "line 2: unparseable power"),
+], ids=["in_an_unread_column", "after_a_faulty_row"])
+def test_bytes_not_utf8(tmp_path, data, message):
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=message):
+        load_series(path, resolution_s=600, rated_capacity_mw=20.0)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", ".", "e", "|", "\t", "-", '"', " "])
+@pytest.mark.parametrize("names", [("timestamp", "power_mw"), ("t;1", 'mw "x" e.-')], ids=["default", "custom"])
+def test_write_series_writes_csv_writers_bytes(tmp_path, delimiter, names):
+    """Over more than one 4,096-row block, with powers that print with a
+    sign, an exponent or a decimal point."""
+    powers = generate_series(5000, seed=4).powers.copy()
+    powers[[0, 1, 2, 4095, 4096, 4999]] = [-0.0, 1e-05, 5e-324, 19.999999999999996, 0.0, 20.0]
+    wps = WindPowerSeries(timestamps=600 * np.arange(1, 5001), powers=powers, resolution_s=600, rated_capacity_mw=20.0)
+    columns = {"timestamp_column": names[0], "power_column": names[1], "delimiter": delimiter}
+    path = tmp_path / "series.csv"
+    write_series(wps, path, **columns)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, delimiter=delimiter)
+    writer.writerow(names)
+    for t, p in zip(wps.timestamps, wps.powers):
+        writer.writerow([int(t), repr(float(p))])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    back, _ = load_series(path, resolution_s=600, rated_capacity_mw=20.0, **columns)
+    assert back.timestamps.tobytes() == wps.timestamps.tobytes()
+    assert back.powers.tobytes() == wps.powers.tobytes()
 
 
 def test_full_scale_fixture_count(tmp_path):
