@@ -255,17 +255,12 @@ def write_series(series: WindPowerSeries, path, *, timestamp_column: str = "time
     ``delimiter`` (the keywords and defaults of ``load_series``).
 
     Powers are written with shortest round-trip formatting, so reloading
-    yields bitwise-equal values. The bytes are those ``csv.writer`` writes:
-    rows are formatted directly in blocks, unless the delimiter can occur in
-    a number and a field may need quotes.
+    yields bitwise-equal values. Rows go to ``csv.writer`` in blocks
+    converted with ``tolist()``.
     """
-    may_need_quotes = delimiter in '+-.0123456789e"\r\n'
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow([timestamp_column, power_column])
         for start in range(0, len(series), 4096):
-            rows = zip(series.timestamps[start:start + 4096].tolist(), series.powers[start:start + 4096].tolist())
-            if may_need_quotes:
-                writer.writerows([t, repr(p)] for t, p in rows)
-            else:
-                fh.write("".join(f"{t}{delimiter}{p!r}\r\n" for t, p in rows))
+            writer.writerows(zip(series.timestamps[start:start + 4096].tolist(),
+                                 map(repr, series.powers[start:start + 4096].tolist())))
