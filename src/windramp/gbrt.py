@@ -3,10 +3,10 @@
 Second-order additive boosting against softmax cross-entropy: each round
 fits one regression tree per class to the first/second loss derivatives at
 the current scores. Trees grow level by level on feature columns cut into
-at most 256 bins once per training run: one ``np.bincount`` per feature and
-sum builds the histograms of all the level's nodes, and one vectorized pass
-searches them. Training is serial and deterministic;
-``evaluation.fit_horizons`` runs whole fits in parallel processes.
+at most 256 bins once per training run, one column at a time from its sort
+order: one ``np.bincount`` per feature and sum builds all the level's node
+histograms, and one vectorized pass searches them. Training is serial and
+deterministic; ``evaluation.fit_horizons`` runs fits in parallel processes.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
 stacked, each in complete binary layout of depth D, the depth of its
@@ -142,29 +142,30 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(bins, edges)``: the F x n uint8 bin of every value, and each
     column's ascending bin edges (one row per column, padded with +inf).
 
-    A column with at most _MAX_BINS distinct values gets an edge at each of
-    them above its minimum. Any other column gets, for i = 1..127, its
-    inverted-CDF quantile i/128 and its smallest value at or above min +
-    i/128 of its range: the quantiles resolve dense values, and the grid
-    keeps edges where values are sparse, as on a ramp. A value's bin is the
-    number of edges <= it, so bin > k exactly when value >= edges[k].
+    Each column is binned alone, from its own sort order. One of at most
+    _MAX_BINS distinct values gets an edge at each of them above its
+    minimum. Any other gets, for i = 1..127, its inverted-CDF quantile i/128
+    and its smallest value at or above min + i/128 of its range: quantiles
+    resolve dense values and the grid sparse ones, as on a ramp. A value's
+    bin is the number of edges <= it, so bin > k exactly when value >= edges[k].
     """
-    columns = np.ascontiguousarray(X.T, dtype=np.float64)
-    num_features, n = columns.shape
-    ordered = np.sort(columns, axis=1)
+    n, num_features = X.shape
     half = _MAX_BINS // 2
     # the inverted-CDF quantile i/B of n sorted values is the ceil(n*i/B)-th smallest
-    quantiles = ordered[:, (n * np.arange(1, half) - 1) // half]
+    quantile_at = (n * np.arange(1, half) - 1) // half
     edges = np.full((num_features, _MAX_BINS - 1), np.inf)
     bins = np.empty((num_features, n), dtype=np.uint8)
-    for j, column in enumerate(ordered):
+    for j in range(num_features):
+        values = np.array(X[:, j], dtype=np.float64)  # a contiguous copy sorts and gathers faster
+        order = np.argsort(values)  # tied values share a bin, so their order does not matter
+        column = values[order]
         cut = column[np.flatnonzero(column[1:] != column[:-1]) + 1]
         if cut.size >= _MAX_BINS:
             grid = column[0] + np.arange(1, half) / half * (column[-1] - column[0])
-            cut = np.unique([quantiles[j], column[np.searchsorted(column, grid).clip(max=n - 1)]])
+            cut = np.unique([column[quantile_at], column[np.searchsorted(column, grid).clip(max=n - 1)]])
             cut = cut[cut > column[0]]
-        edges[j, :cut.size] = cut
-        bins[j] = np.searchsorted(cut, columns[j], side="right")
+        edges[j, :cut.size] = cut + 0.0  # +0.0: the sort may put either zero first among tied +-0.0
+        bins[j, order] = np.repeat(np.arange(cut.size + 1), np.diff(np.searchsorted(column, cut), prepend=0, append=n))
     # keep a padding column at least, so that every search has a candidate to reject
     return bins, edges[:, :max(1, np.isfinite(edges).sum(axis=1).max())]
 

@@ -237,6 +237,8 @@ def _read_columns(reader, timestamp_column: str, power_column: str) -> tuple[np.
             continue
         if len(row) < width:
             raise DataError(f"line {line_no}: expected at least {width} columns, got {len(row)}")
+        if not all(c.strip().isascii() and "_" not in c for c in (row[ts_col], row[pw_col])):  # float() reads 1_0
+            raise DataError(f"line {line_no}: '_' or a non-ASCII character in {row[ts_col]!r} or {row[pw_col]!r}")
         timestamps.append(_parse_timestamp(row[ts_col], line_no))
         try:
             powers.append(float(row[pw_col]))

@@ -131,6 +131,31 @@ def brute_force_tree(X, g, h, reg_lambda, gamma, min_child_hessian, max_depth):
     return nodes
 
 
+def naive_bin_columns(X, max_bins=256):
+    """``gbrt.bin_columns`` as it was before it went column by column: all
+    columns transposed and sorted at once, then each column's values looked
+    up in its edges. The edges follow ``np.sort``'s order of tied values, so
+    an edge at zero may be -0.0."""
+    columns = np.ascontiguousarray(X.T, dtype=np.float64)
+    num_features, n = columns.shape
+    ordered = np.sort(columns, axis=1)
+    half = max_bins // 2
+    # the inverted-CDF quantile i/B of n sorted values is the ceil(n*i/B)-th smallest
+    quantiles = ordered[:, (n * np.arange(1, half) - 1) // half]
+    edges = np.full((num_features, max_bins - 1), np.inf)
+    bins = np.empty((num_features, n), dtype=np.uint8)
+    for j, column in enumerate(ordered):
+        cut = column[np.flatnonzero(column[1:] != column[:-1]) + 1]
+        if cut.size >= max_bins:
+            grid = column[0] + np.arange(1, half) / half * (column[-1] - column[0])
+            cut = np.unique([quantiles[j], column[np.searchsorted(column, grid).clip(max=n - 1)]])
+            cut = cut[cut > column[0]]
+        edges[j, :cut.size] = cut
+        bins[j] = np.searchsorted(cut, columns[j], side="right")
+    # keep a padding column at least, so that every search has a candidate to reject
+    return bins, edges[:, :max(1, np.isfinite(edges).sum(axis=1).max())]
+
+
 def naive_class(delta, thresholds_mw):
     """Ramp class of one power change: one more than the number of class
     boundaries (-T_m, ..., -T_1, 0, T_1, ..., T_m) at or below it."""

@@ -256,12 +256,16 @@ class TestPipeline:
         (lambda ws: ws["csv"].write_text("timestamp,power_mw\nnan,5\n"), 3, "data", "line 2: unparseable timestamp"),
         (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600,1.0\ninf,5\n"), 3, "data",
          "line 3: unparseable timestamp"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600,1_0\n1_200,3\n"), 3, "data",
+         "line 2: '_' or a non-ASCII character"),
+        (lambda ws: ws["csv"].write_text("timestamp,power_mw\n600,1\n1200,٣\n", encoding="utf-8"), 3, "data",
+         "line 3: '_' or a non-ASCII character"),
         (lambda ws: ws["config"].write_bytes(b'{"version": 1, "out": "\xff"}'), 2, "config", "cannot read config file"),
         (lambda ws: ws["config"].write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}"), 2, "config",
          "not valid JSON"),
     ], ids=["missing_series", "directory_series", "non_utf8_series", "oversized_field", "timestamp_beyond_int64",
-            "timestamp_1e20", "timestamps_whose_stride_wraps", "timestamp_nan", "timestamp_inf", "non_utf8_config",
-            "deeply_nested_config"])
+            "timestamp_1e20", "timestamps_whose_stride_wraps", "timestamp_nan", "timestamp_inf", "underscore_in_numbers",
+            "arabic_indic_power", "non_utf8_config", "deeply_nested_config"])
     def test_unreadable_input_exits_with_its_code(self, workspace, capsys, edit, code, kind, reason):
         edit(workspace)
         assert main(workspace["argv"]("train")) == code

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -288,3 +289,17 @@ class TestBinColumns:
             for k in range(cut.size):
                 assert np.array_equal(bins[j] > k, column >= cut[k])
             assert bins[j].max() == cut.size
+
+    def test_peak_memory_holds_no_copy_of_X(self):
+        """Binning allocates the F x n uint8 bins and one column's sort at a
+        time, under half of X's bytes; a transposed and a sorted copy of X
+        would take more than twice them."""
+        X = np.random.default_rng(0).normal(size=(20_000, 36))
+        bin_columns(X[:300])  # numpy imports some modules on first use: leave them out of the peak
+        tracemalloc.start()
+        try:
+            bin_columns(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * X.nbytes

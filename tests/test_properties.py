@@ -29,7 +29,7 @@ from windramp.labeling import assign_classes
 from windramp.series import LoadReport
 
 from .conftest import make_dataset, quadrant_dataset
-from .oracles import brute_force_tree, document_scores, naive_class
+from .oracles import brute_force_tree, document_scores, naive_bin_columns, naive_class
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -334,6 +334,45 @@ def test_grow_tree_matches_brute_force_tree(rows, max_depth, min_child_hessian, 
             _, j, threshold = nodes[slot]
             slot = 2 * slot + 1 if x[j] < threshold else 2 * slot + 2
         assert value == nodes[slot][1]
+
+
+# ties at zero of both signs, negative values, and magnitudes near 1e+-300
+_BIN_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]
+
+
+@st.composite
+def binning_matrices(draw):
+    """An n x F matrix, n = 1 up to past 2 x 256, whose columns are each
+    constant, a few tied values from a pool, or (from n = 256 on) more than
+    256 distinct values at a drawn scale, some rounded into ties and some
+    replaced by +-0.0."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(256, 700)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["constant", "pool", "many", "many"]), min_size=1, max_size=4)):
+        pool = draw(st.lists(st.sampled_from(_BIN_POOL), min_size=1, max_size=1 if kind == "constant" else 8))
+        column = rng.choice(np.array(pool), n)
+        if kind == "many":
+            column = rng.standard_normal(n) * 10.0 ** draw(st.integers(-300, 300))
+            if draw(st.booleans()):
+                column = np.round(column / np.abs(column).max() * 300) * np.abs(column).max()
+            zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+            column[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+        columns.append(column)
+    return np.stack(columns, axis=1)
+
+
+@PROPERTY
+@given(X=binning_matrices())
+def test_bin_columns_matches_naive_binning(X):
+    """Binning each column from its own sort order gives the bins of
+    sorting every column at once, bit for bit, and the same edges as
+    values. Only an edge's zero sign may differ: it is always +0.0."""
+    bins, edges = bin_columns(X)
+    naive_bins, naive_edges = naive_bin_columns(X)
+    assert bins.dtype == np.uint8 and bins.tobytes() == naive_bins.tobytes() and bins.shape == naive_bins.shape
+    assert edges.shape == naive_edges.shape and np.array_equal(edges, naive_edges)
+    assert not np.any(np.signbit(edges[edges == 0]))
 
 
 _MODEL = json.loads(serialize_model(train(quadrant_dataset(n=40), HyperParams(n_estimators=2, max_depth=2))))

@@ -95,6 +95,36 @@ def test_malformed_row_reports_line_number(tmp_path):
         load_text(tmp_path, text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("timestamp,power_mw\n600,1_0\n1_200,3\n", 2),
+    ("timestamp,power_mw\n600,1\n1200,٣\n", 3),
+    ("timestamp,power_mw\n٦٠٠,1\n1200,3\n", 2),
+    ('timestamp,power_mw\n600,"1_0"\n1200,3\n', 2),  # quoted: only the row parser reads the file
+], ids=["underscore", "arabic_indic_power", "arabic_indic_timestamp", "quoted_underscore"])
+def test_numbers_float_reads_but_no_export_writes_rejected(tmp_path, text, line):
+    """float() and int() read 1_0 as 10 and other scripts' digits as
+    digits; loadtxt refuses both, and so does the row parser."""
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"line {line}: '_' or a non-ASCII character"):
+        load_series(path, resolution_s=600, rated_capacity_mw=20.0)
+
+
+@pytest.mark.parametrize("text, row_parser_calls", [
+    ("timestamp,power_mw\n\xa0600,1\n1200,3\u2003\n", 0),
+    ('timestamp,power_mw\n"\xa0600",1\n1200,3\u2003\n', 1),
+], ids=["loadtxt", "row_parser"])
+def test_unicode_space_around_a_number_is_stripped(tmp_path, monkeypatch, text, row_parser_calls):
+    """loadtxt strips any Unicode space around a number, as str.strip()
+    does, so the row parser reads such a cell too: both give one result."""
+    calls = _row_parser_spy(monkeypatch)
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    wps, _ = load_series(path, resolution_s=600, rated_capacity_mw=20.0)
+    assert len(calls) == row_parser_calls
+    assert wps.timestamps.tolist() == [600, 1200] and wps.powers.tolist() == [1.0, 3.0]
+
+
 @pytest.mark.parametrize("timestamp", ["100000000000000000000", "1e20", "-1e20", "9223372036854775808"])
 def test_timestamp_outside_int64_rejected(tmp_path, timestamp):
     text = f"timestamp,power_mw\n600,1.0\n{timestamp},5\n"
