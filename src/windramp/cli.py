@@ -42,6 +42,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -366,31 +367,27 @@ def _read_feature_rows(source: str, lag_count: int) -> np.ndarray:
         raise DataError(f"cannot read feature rows from {source}: {exc}") from exc
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if line_no == 1 and not any(_is_number(c) for c in cells):
-            continue  # header row
+        cells = line.strip().split(",")
+        values = [_float(c) for c in cells]
+        if cells == [""] or line_no == 1 and values.count(None) == len(values):
+            continue  # a blank line, or a header row: no cell of it is a number
         if len(cells) != lag_count:
-            raise DataError(
-                f"line {line_no}: expected {lag_count} values per row, got {len(cells)}"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
+            raise DataError(f"line {line_no}: expected {lag_count} values per row, got {len(cells)}")
+        series.check_cells(line_no, *cells)
+        bad = [c for c, v in zip(cells, values) if v is None or not math.isfinite(v)]
+        if bad:
+            raise DataError(f"line {line_no}: {bad[0]!r} is not a finite number")
+        rows.append(values)
     if not rows:
         raise DataError("no feature rows in input")
     return np.asarray(rows, dtype=np.float64)
 
 
-def _is_number(text: str) -> bool:
+def _float(text: str) -> float | None:
     try:
-        float(text)
-        return True
+        return float(text)
     except ValueError:
-        return False
+        return None
 
 
 def cmd_predict(model_path: str, source: str) -> int:

@@ -4,20 +4,22 @@ Second-order additive boosting against softmax cross-entropy: each round
 fits one regression tree per class to the first/second loss derivatives at
 the current scores. Trees grow level by level on feature columns cut into
 at most 256 bins once per training run, one column at a time from its sort
-order: one ``np.bincount`` per feature and sum builds all the level's node
-histograms, and one vectorized pass searches them. Training is serial and
-deterministic; ``evaluation.fit_horizons`` runs fits in parallel processes.
+order, which also counts every tree's root rows per bin. One ``np.bincount``
+per feature and sum builds all the level's node histograms, and one
+vectorized pass searches them. Training is serial and deterministic;
+``evaluation.fit_horizons`` runs fits in parallel processes.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
 stacked, each in complete binary layout of depth D, the depth of its
-deepest tree. ``feature`` and ``threshold`` (T x 2^D-1) hold the internal
-slots: the children of slot i are slots 2i+1 and 2i+2, and a row goes to
-the right one when x[feature] >= threshold. A slot that does not split has
-feature -1 and sends every row left (its threshold is +inf in memory).
-``leaf`` (T x 2^D) holds the weights one level below, already multiplied by
-the learning rate; a leaf shallower than D is copied to every slot under
-it. A score is the base score plus one leaf of every tree. Prediction walks
-all trees of a block of rows at once, in D vectorized steps.
+deepest tree; each grows in place into its rows of a stack of depth
+max_depth, then cut to D. ``feature`` and ``threshold`` (T x 2^D-1) hold
+the internal slots: the children of slot i are slots 2i+1 and 2i+2, and a
+row goes to the right one when x[feature] >= threshold. A slot that does
+not split has feature -1 and sends every row left (its threshold is +inf in
+memory). ``leaf`` (T x 2^D) holds the weights one level below, already
+multiplied by the learning rate; a leaf shallower than D is copied to every
+slot under it. A score is the base score plus one leaf of every tree.
+Prediction walks all trees of a block of rows at once, in D vectorized steps.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class HyperParams:
 
 
 class Tree(NamedTuple):
-    """One tree in complete binary layout (see the module docstring).
+    """One tree's rows of the stacked layout (see the module docstring); it
+    stays for the benchmark's ``model_counts``, the one reader of its counts.
 
     Every split's parent splits too, so the slots with ``feature >= 0`` are
     exactly the tree's internal nodes; the counts ignore padding.
@@ -102,11 +105,6 @@ class Tree(NamedTuple):
     @property
     def n_nodes(self) -> int:
         return 2 * self.n_leaves - 1
-
-    @property
-    def depth(self) -> int:
-        splits = np.flatnonzero(self.feature >= 0)
-        return int(splits[-1] + 1).bit_length() if splits.size else 0
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -138,9 +136,10 @@ def softmax_gradients(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     return g, h
 
 
-def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(bins, edges)``: the F x n uint8 bin of every value, and each
-    column's ascending bin edges (one row per column, padded with +inf).
+def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bins, edges, counts)``: the F x n uint8 bin of every value, each
+    column's ascending bin edges (one row per column, padded with +inf), and
+    each column's values per bin (padded with 0): every tree's root counts.
 
     Each column is binned alone, from its own sort order. One of at most
     _MAX_BINS distinct values gets an edge at each of them above its
@@ -154,6 +153,7 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the inverted-CDF quantile i/B of n sorted values is the ceil(n*i/B)-th smallest
     quantile_at = (n * np.arange(1, half) - 1) // half
     edges = np.full((num_features, _MAX_BINS - 1), np.inf)
+    counts = np.zeros((num_features, _MAX_BINS), dtype=np.intp)
     bins = np.empty((num_features, n), dtype=np.uint8)
     for j in range(num_features):
         values = np.array(X[:, j], dtype=np.float64)  # a contiguous copy sorts and gathers faster
@@ -165,9 +165,11 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             cut = np.unique([column[quantile_at], column[np.searchsorted(column, grid).clip(max=n - 1)]])
             cut = cut[cut > column[0]]
         edges[j, :cut.size] = cut + 0.0  # +0.0: the sort may put either zero first among tied +-0.0
-        bins[j, order] = np.repeat(np.arange(cut.size + 1), np.diff(np.searchsorted(column, cut), prepend=0, append=n))
+        counts[j, :cut.size + 1] = np.diff(np.searchsorted(column, cut), prepend=0, append=n)
+        bins[j, order] = np.repeat(np.arange(cut.size + 1), counts[j, :cut.size + 1])
     # keep a padding column at least, so that every search has a candidate to reject
-    return bins, edges[:, :max(1, np.isfinite(edges).sum(axis=1).max())]
+    width = max(1, np.isfinite(edges).sum(axis=1).max())
+    return bins, edges[:, :width], counts[:, :width + 1]
 
 
 def _histograms(columns: np.ndarray, node: np.ndarray, g: np.ndarray, h: np.ndarray, count: int, width: int,
@@ -209,37 +211,27 @@ def _best_splits(hist: np.ndarray, G: np.ndarray, H: np.ndarray, params: HyperPa
     return np.where(gain[np.arange(len(G)), best] > 0.0, feature, -1), k
 
 
-def grow_tree(
-    bins: np.ndarray,
-    edges: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    params: HyperParams,
-    train_leaf_values: np.ndarray | None = None,
-    root_counts: np.ndarray | None = None,
-) -> Tree:
+def grow_tree(bins: np.ndarray, edges: np.ndarray, root_counts: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+              params: HyperParams, tree: Tree, train_leaf_values: np.ndarray) -> None:
     """Greedy growth to max_depth over the histograms of the columns
-    :func:`bin_columns` binned, one level at a time, straight into the
-    complete binary layout of depth max_depth.
+    :func:`bin_columns` binned, with their counts as the root's, one level at
+    a time, in place into ``tree``: contiguous rows of 2^max_depth - 1 and
+    2^max_depth slots of the complete binary layout, every slot of which it writes.
 
     Below the root only the smaller child of each split is built from its
     rows; the larger one is its parent's histogram minus the smaller one's.
     A level wider than _HIST_CELLS cells is built from the rows and searched
     one block of nodes at a time. A split after bin k stores threshold
     edges[k]. Leaf weight is -G/(H+lambda) from the node's own sums; ``train``
-    applies the learning rate, not this function. When
-    ``train_leaf_values`` is given, each training row's leaf weight is
-    written into it, sparing a full predict pass. ``root_counts`` (F x
-    width), the rows in each bin of each column, is the same for every tree
-    grown on ``bins``; ``train`` passes it so that no tree rebuilds it.
+    applies the learning rate, not this function. Each training row's leaf
+    weight is written into ``train_leaf_values``, sparing a full predict pass.
     """
     num_features, n = bins.shape
     if n == 0:
         raise TrainingError("cannot grow a tree on an empty row set")
     top, width = params.max_depth, edges.shape[1] + 1  # width: bins per feature
-    feature = np.full(2**top - 1, -1, dtype=np.int32)
-    threshold = np.full(2**top - 1, np.inf)
-    leaf = np.zeros(2**top)
+    feature, threshold, leaf = tree
+    feature[:], threshold[:] = -1, np.inf
     step = max(1, _HIST_CELLS // (num_features * width))  # nodes per block of a level
     # the rows of the level's nodes, their gradient pairs and their nodes (indices into slots)
     rows, g, h, node = np.arange(n), grad, hess, np.zeros(n, dtype=np.intp)
@@ -258,8 +250,7 @@ def grow_tree(
         inner = split >= 0
         value = np.divide(-G, H + params.reg_lambda, out=np.zeros(count), where=H + params.reg_lambda > 0)
         done = ~inner[node]
-        if train_leaf_values is not None:
-            train_leaf_values[rows[done]] = value[node[done]]
+        train_leaf_values[rows[done]] = value[node[done]]
         leaf.reshape(2**depth, -1)[slots[~inner] + 1 - 2**depth] = value[~inner, None]  # every leaf slot below
         n_splits = int(np.count_nonzero(inner))
         if not n_splits:
@@ -281,7 +272,6 @@ def grow_tree(
         hist = np.stack((built, hist[inner] - built), axis=1)  # (smaller, larger) child of each split
         hist[small] = hist[small, ::-1]
         hist = hist.reshape((2 * n_splits,) + hist.shape[2:])
-    return Tree(feature, threshold, leaf)
 
 
 @dataclass(frozen=True)
@@ -401,25 +391,26 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     counts = np.bincount(y, minlength=num_classes)
     base_score = np.log((counts + 1.0) / (n + num_classes))
     scores = np.tile(base_score, (n, 1))
-    bins, edges = bin_columns(X)
-    root_counts = np.stack([np.bincount(column, minlength=edges.shape[1] + 1) for column in bins])
-    trees: list[Tree] = []
+    bins, edges, root_counts = bin_columns(X)
+    n_trees, top = params.n_estimators * num_classes, params.max_depth
+    feature = np.empty((n_trees, 2**top - 1), dtype=np.int32)
+    threshold = np.empty((n_trees, 2**top - 1))
+    leaf = np.empty((n_trees, 2**top))
+    trees = map(Tree, feature, threshold, leaf)  # row t of each array, one tree after another
     leaf_values = np.empty(n, dtype=np.float64)
     for _ in range(params.n_estimators):
         g, h = softmax_gradients(scores, y)
         for c in range(num_classes):
-            trees.append(grow_tree(
-                bins, edges, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
-                params, train_leaf_values=leaf_values, root_counts=root_counts,
-            ))
+            grow_tree(bins, edges, root_counts, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
+                      params, next(trees), leaf_values)
             scores[:, c] += params.learning_rate * leaf_values
 
-    # every tree was grown in a depth-max_depth layout: cut them all to the deepest one
-    depth = max(tree.depth for tree in trees)
+    # every tree was grown in a depth-max_depth layout: cut them all below the deepest split slot
+    depth = int(np.flatnonzero((feature >= 0).any(axis=0)).max(initial=-1) + 1).bit_length()
     return GbrtModel(
-        feature=[tree.feature[:2**depth - 1] for tree in trees],
-        threshold=[tree.threshold[:2**depth - 1] for tree in trees],
-        leaf=[params.learning_rate * tree.leaf[:: 2 ** (params.max_depth - depth)] for tree in trees],
+        feature=feature[:, :2**depth - 1],
+        threshold=threshold[:, :2**depth - 1],
+        leaf=params.learning_rate * leaf[:, ::2 ** (top - depth)],
         base_score=base_score,
         n_features=X.shape[1],
     )

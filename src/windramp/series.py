@@ -211,6 +211,14 @@ def _loadtxt_columns(raw: bytes, timestamp_column: str, power_column: str, delim
     return (rows["t"], rows["p"], 0) if rows.size == ends.size - (raw[-1:] == b"\n") else None
 
 
+def check_cells(line_no: int, *cells: str) -> None:
+    """Refuse number cells that ``float`` reads but no export writes: one holding '_' (1_0) or,
+    once stripped of the whitespace ``np.loadtxt`` skips too, a non-ASCII character (an Arabic-Indic 3)."""
+    bad = [c for c in cells if "_" in c or not c.strip().isascii()]
+    if bad:
+        raise DataError(f"line {line_no}: '_' or a non-ASCII character in {' or '.join(map(repr, bad))}")
+
+
 def _read_columns(reader, timestamp_column: str, power_column: str) -> tuple[np.ndarray, np.ndarray, int]:
     """The two named columns of every non-blank row, in file order, and the
     number of blank rows skipped."""
@@ -237,8 +245,7 @@ def _read_columns(reader, timestamp_column: str, power_column: str) -> tuple[np.
             continue
         if len(row) < width:
             raise DataError(f"line {line_no}: expected at least {width} columns, got {len(row)}")
-        if not all(c.strip().isascii() and "_" not in c for c in (row[ts_col], row[pw_col])):  # float() reads 1_0
-            raise DataError(f"line {line_no}: '_' or a non-ASCII character in {row[ts_col]!r} or {row[pw_col]!r}")
+        check_cells(line_no, row[ts_col], row[pw_col])
         timestamps.append(_parse_timestamp(row[ts_col], line_no))
         try:
             powers.append(float(row[pw_col]))

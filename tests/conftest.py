@@ -7,6 +7,7 @@ from windramp import (
     ThresholdSet,
     WindPowerSeries,
 )
+from windramp.gbrt import Tree, grow_tree
 
 
 @pytest.fixture
@@ -68,3 +69,20 @@ def quadrant_dataset(n=40, seed=7, scale=5.0):
         np.where(X[:, 1] > 0, 3, 4),
     )
     return make_dataset(X, targets)
+
+
+def grown_tree(bins, edges, counts, g, h, params):
+    """``(tree, values)``: one tree grown into fresh rows, and the leaf
+    weight of each training row. The rows start out stale, as ``train``'s
+    unset rows may: grow_tree must write every slot."""
+    slots = 2**params.max_depth
+    tree = Tree(np.zeros(slots - 1, dtype=np.int32), np.full(slots - 1, np.nan), np.full(slots, np.nan))
+    values = np.full(bins.shape[1], np.nan)
+    grow_tree(bins, edges, counts, g, h, params, tree, values)
+    return tree, values
+
+
+def tree_depth(tree):
+    """The depth of a tree's layout cut below its deepest split (0 for a leaf)."""
+    splits = np.flatnonzero(tree.feature >= 0)
+    return int(splits[-1] + 1).bit_length() if splits.size else 0

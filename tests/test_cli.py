@@ -376,7 +376,28 @@ class TestPredict:
         src = tmp_path / "rows.csv"
         src.write_text(",".join(["nan"] * LAGS) + "\n")
         assert main(["predict", str(model_path), str(src)]) == 3
-        assert error_line(capsys)["error"] == "data"
+        err = error_line(capsys)
+        assert err["error"] == "data" and err["message"].startswith("line 1:")
+        # a bad cell is named by its line of the file, as every other fault is, not by its row of the matrix
+        header = ",".join(f"lag_{LAGS - 1 - j}" for j in range(LAGS))
+        for cell in ("nan", "inf", "-inf", "1e400"):
+            src.write_text("\n".join([header, ",".join(["1.0"] * LAGS), ",".join(["1.0"] * (LAGS - 1) + [cell])]))
+            assert main(["predict", str(model_path), str(src)]) == 3
+            err = error_line(capsys)
+            assert err["error"] == "data" and err["message"].startswith(f"line 3: {cell!r} is not a finite number")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663"], ids=["underscore", "arabic_indic"])
+    def test_number_form_no_export_writes_exits_3(self, model_path, tmp_path, capsys, cell):
+        # float() reads 1_0 as 10 and an Arabic-Indic 3 as 3; the series reader refuses both too
+        src = tmp_path / "rows.csv"
+        src.write_text("\n".join([",".join(["2"] * LAGS), ",".join([cell] + ["2"] * (LAGS - 1))]) + "\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "data" and err["message"] == f"line 2: '_' or a non-ASCII character in {cell!r}"
 
     @pytest.mark.parametrize("case, code, kind", [
         ("non_utf8_model", 4, "training"), ("deeply_nested_model", 4, "training"), ("non_utf8_rows", 3, "data"),

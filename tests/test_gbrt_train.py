@@ -23,7 +23,7 @@ from windramp import (
 )
 from windramp.gbrt import deserialize_model, serialize_model
 
-from .conftest import make_dataset, quadrant_dataset
+from .conftest import make_dataset, quadrant_dataset, tree_depth
 from .oracles import model_objective, tree_leaf_weights
 
 
@@ -80,7 +80,7 @@ class TestTrain:
     def test_max_depth_respected_across_ensemble(self):
         ds = quadrant_dataset(n=60, seed=3)
         model = train(ds, small_params(n_estimators=8, max_depth=3))
-        assert max(t.depth for rnd in model.trees for t in rnd) <= 3
+        assert max(tree_depth(t) for rnd in model.trees for t in rnd) <= 3
 
     def test_objective_non_increasing(self):
         ds = quadrant_dataset(n=50, seed=1)
@@ -281,7 +281,7 @@ class TestModelIO:
         assert doc["version"] == 3
         assert len(doc["base_score"]) == 4
         n_slots = len(doc["feature"][0])
-        depth = max(t.depth for rnd in model.trees for t in rnd)
+        depth = max(tree_depth(t) for rnd in model.trees for t in rnd)
         assert n_slots == 2**depth - 1
         for key, width in (("feature", n_slots), ("threshold", n_slots), ("leaf", n_slots + 1)):
             assert len(doc[key]) == 3 * 4
@@ -309,7 +309,7 @@ class TestModelIO:
             assert tree.n_nodes == 2 * len(leaves) - 1
             assert not tree.leaf.flags.writeable
         # this model has leaves above depth D, so the layout holds padding
-        assert any(t.n_leaves < 2**t.depth for rnd in model.trees for t in rnd)
+        assert any(t.n_leaves < 2**tree_depth(t) for rnd in model.trees for t in rnd)
 
     def test_truncated_document_rejected(self):
         ds = quadrant_dataset(n=30)

@@ -24,11 +24,11 @@ from windramp import (DataError, HyperParams, ThresholdSet, WindPowerSeries, loa
 from windramp import gbrt, series
 from windramp.cli import main
 from windramp.evaluation import stratified_folds
-from windramp.gbrt import bin_columns, deserialize_model, grow_tree, serialize_model, softmax
+from windramp.gbrt import bin_columns, deserialize_model, serialize_model, softmax
 from windramp.labeling import assign_classes
 from windramp.series import LoadReport
 
-from .conftest import make_dataset, quadrant_dataset
+from .conftest import grown_tree, make_dataset, quadrant_dataset
 from .oracles import brute_force_tree, document_scores, naive_bin_columns, naive_class
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -168,6 +168,24 @@ def test_load_series_agrees_with_the_row_parser(tmp_path_factory, case):
     data, columns = case
     path = tmp_path_factory.mktemp("series") / "series.csv"
     path.write_bytes(data)
+    assert _outcome(load_series, path, columns) == _outcome(_row_parser_load, path, columns)
+
+
+@pytest.mark.parametrize("column, cell", [("timestamp", c) for c in _TIMESTAMP_CELLS]
+                         + [("power", c) for c in _POWER_CELLS])
+def test_load_series_agrees_with_the_row_parser_on_each_cell(tmp_path, column, cell):
+    """Each cell of the lists alone, in one row of a clean write_series
+    file: whichever path load_series takes, it gives the row parser's
+    arrays bit for bit and its report, or its DataError message."""
+    path = tmp_path / "series.csv"
+    write_series(WindPowerSeries(timestamps=600 * np.arange(1, 5), powers=[1.0, 2.5, 0.0, 20.0], resolution_s=600,
+                                 rated_capacity_mw=20.0), path)
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    cells = lines[2].split(",")
+    cells[column == "power"] = cell.format(t=1200, iso=datetime.fromtimestamp(1200, timezone.utc).isoformat())
+    lines[2] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    columns = {"timestamp_column": "timestamp", "power_column": "power_mw", "delimiter": ","}
     assert _outcome(load_series, path, columns) == _outcome(_row_parser_load, path, columns)
 
 
@@ -322,11 +340,11 @@ def test_grow_tree_matches_brute_force_tree(rows, max_depth, min_child_hessian, 
     g = np.array([gi for _, gi, _ in rows])
     h = np.array([hi for _, _, hi in rows])
     params = HyperParams(n_estimators=1, max_depth=max_depth, gamma=gamma, min_child_hessian=min_child_hessian)
-    values = np.full(len(rows), np.nan)
-    bins, edges = bin_columns(X)
+    bins, edges, counts = bin_columns(X)
     cells = nodes_per_block * bins.shape[0] * (edges.shape[1] + 1) if nodes_per_block else gbrt._HIST_CELLS
     with mock.patch.object(gbrt, "_HIST_CELLS", cells):
-        nodes = _grown_nodes(grow_tree(bins, edges, g, h, params, train_leaf_values=values))
+        tree, values = grown_tree(bins, edges, counts, g, h, params)
+    nodes = _grown_nodes(tree)
     assert nodes == brute_force_tree(X, g, h, 1.0, gamma, min_child_hessian, max_depth)
     for x, value in zip(X, values):
         slot = 0
@@ -367,12 +385,14 @@ def binning_matrices(draw):
 def test_bin_columns_matches_naive_binning(X):
     """Binning each column from its own sort order gives the bins of
     sorting every column at once, bit for bit, and the same edges as
-    values. Only an edge's zero sign may differ: it is always +0.0."""
-    bins, edges = bin_columns(X)
+    values. Only an edge's zero sign may differ: it is always +0.0. The
+    counts are each column's bin counts."""
+    bins, edges, counts = bin_columns(X)
     naive_bins, naive_edges = naive_bin_columns(X)
     assert bins.dtype == np.uint8 and bins.tobytes() == naive_bins.tobytes() and bins.shape == naive_bins.shape
     assert edges.shape == naive_edges.shape and np.array_equal(edges, naive_edges)
     assert not np.any(np.signbit(edges[edges == 0]))
+    assert np.array_equal(counts, [np.bincount(column, minlength=edges.shape[1] + 1) for column in bins])
 
 
 _MODEL = json.loads(serialize_model(train(quadrant_dataset(n=40), HyperParams(n_estimators=2, max_depth=2))))
