@@ -4,6 +4,7 @@ Everything here is deliberately naive: plain loops, direct formula
 substitution, no shared code with the package internals.
 """
 
+import csv
 import math
 
 import mpmath
@@ -251,3 +252,75 @@ def model_objective(doc, X, targets, params):
             penalty += gamma * len(leaves) + 0.5 * lam * sum(w * w for w in leaves)
         trace.append(cross_entropy_loss(scores, y) + penalty)
     return trace
+
+
+def _argmax(values):
+    """Index of the first largest value."""
+    return max(range(len(values)), key=lambda i: (values[i], -i))
+
+
+def naive_evaluation(csv_path, resolution_s, lag_count, thresholds_mw, models, anchors):
+    """``(anchor timestamps, evaluation document)`` recomputed from the series
+    file alone, for the horizons of ``models`` ({S: format-3 model document})
+    scored on the rows of ``anchors`` ({S: (train timestamps, test timestamps)}).
+
+    The file is read with ``csv``; a point starts a new segment unless it
+    lies ``resolution_s`` after the one before it. Anchor t of horizon S
+    needs t-(L-1) and t+S in its segment; its target is the class of
+    w(t+S) - w(t) and its features are w(t-L+1), ..., w(t), each looked up
+    by timestamp. GBRT predicts the argmax of ``document_scores`` (ties to
+    the lower id), persistence the class of w(t) - w(t-S) where t-S is in
+    the segment (other rows are not scored), and majority the modal train
+    target (ties to the lower id). The first value maps each S to every
+    anchor it found, in time order.
+    """
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    power = {int(row["timestamp"]): float(row["power_mw"]) for row in rows}
+    segment, seg, last = {}, 0, None
+    for t in sorted(power):
+        if last is not None and t - last != resolution_s:
+            seg += 1
+        segment[t], last = seg, t
+
+    def in_segment(t, steps):
+        """Whether the point ``steps`` steps from t exists in t's segment."""
+        u = t + steps * resolution_s
+        return u in segment and segment[u] == segment[t]
+
+    def ramp(t, back):
+        return naive_class(power[t] - power[t - back * resolution_s], thresholds_mw)
+
+    k = 2 * (len(thresholds_mw) + 1)
+    found, scored = {}, {"gbrt": [], "persistence": [], "majority": []}
+    for s, doc in models.items():
+        found[s] = [t for t in sorted(power) if in_segment(t, -(lag_count - 1)) and in_segment(t, s)]
+        train_ts, test_ts = anchors[s]
+        target = {t: ramp(t + s * resolution_s, s) for t in found[s]}
+        train_targets = [target[t] for t in train_ts]
+        counts = [train_targets.count(c) for c in range(1, k + 1)]
+        predicted = {
+            "gbrt": [(target[t], 1 + _argmax(document_scores(
+                doc, [power[t - i * resolution_s] for i in range(lag_count - 1, -1, -1)]))) for t in test_ts],
+            "persistence": [(target[t], ramp(t, s)) for t in test_ts if in_segment(t, -s)],
+            "majority": [(target[t], 1 + _argmax(counts)) for t in test_ts],
+        }
+        for name, pairs in predicted.items():
+            true, pred = [a for a, _ in pairs], [b for _, b in pairs]
+            accuracy, per_class, macro_f1 = naive_metrics(true, pred, k)
+            scored[name].append(({
+                "accuracy": accuracy, "overall_f1": macro_f1, "rare_f1": (per_class[1][2] + per_class[k][2]) / 2,
+                "rare_classes": [1, k], "steps_ahead": s,
+                "per_class": {str(c): dict(zip(("precision", "recall", "f1"), v)) for c, v in per_class.items()},
+            }, sum(a == b for a, b in pairs), len(pairs)))
+    models_doc = []
+    for name, horizons in scored.items():
+        per_horizon = [h for h, _, _ in horizons]
+        models_doc.append({
+            "model": name,
+            **{f"mean_{key}": sum(h[key] for h in per_horizon) / len(per_horizon)
+               for key in ("accuracy", "overall_f1", "rare_f1")},
+            "pooled_accuracy": sum(c for _, c, _ in horizons) / sum(n for _, _, n in horizons),
+            "per_horizon": per_horizon,
+        })
+    return found, {"models": models_doc}

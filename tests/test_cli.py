@@ -306,6 +306,18 @@ class TestPipeline:
             "evaluation.json": "7d7218f5f9215cb8ec51a7f2b695611986584420563ec7855b685cf33c6116bc",
         }
 
+    def test_split_digests_pinned(self, workspace):
+        """Each horizon's ``split_sha256``: the bytes of the dealt rows'
+        lag windows, targets and anchor timestamps. The split deals with
+        ``default_rng`` and the windows are plain copies of powers, so the
+        digests hold on any CPU."""
+        assert main(workspace["argv"]("train")) == 0
+        manifest = json.loads((workspace["out"] / "models" / "manifest.json").read_text())
+        assert {s: entry["split_sha256"] for s, entry in manifest.items()} == {
+            "1": "c93ba09fec7c8fffc490334a6e0e81d54e439362e1c8101a2a80e1c829c25909",
+            "3": "3e6d640bd81174cf56f2b1dfd6b4d1e70a9413f55fecd9966db614e3b093fa69",
+        }
+
     def test_data_keys_read_other_columns(self, workspace, tmp_path):
         """The config's data keys and their flags reach load_series: the
         series written as ``t;mw`` gives the default format's report."""
