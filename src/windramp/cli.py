@@ -7,8 +7,9 @@ text with its key's reader, then checks every value with its key's check,
 whichever source it came from. The resolved ``data`` object is passed to
 ``series.load_series`` as its keywords. One helper, ``_horizon_datasets``,
 loads that series once and builds each horizon's labeled dataset in memory,
-as ``prepare``, ``train`` and ``evaluate`` take it. Every report is a JSON
-document, written once as it was built (sorted keys, 2-space indent):
+as ``prepare``, ``train`` and ``evaluate`` take it, indexing that one series
+without copying its lag windows. Every report is a JSON document, written
+once as it was built (sorted keys, 2-space indent):
 
 - ``prepare`` writes ``reports/distribution.json`` (rows and class counts
   per horizon), then ``config.resolved.json``, and prints one summary line
@@ -256,7 +257,10 @@ def _split(cfg: dict, s: int, ds: labeling.LabeledDataset):
                         f"{'train' if len(test_ds) else 'test'} part of {len(train_ds) + len(test_ds)} rows empty")
     digest = hashlib.sha256()
     for part in (train_ds, test_ds):
-        for arr in (part.features, part.targets, part.anchor_ts):
+        windows = np.lib.stride_tricks.sliding_window_view(part.powers, part.horizon.lag_count)
+        for first in range(0, len(part), 4096):  # the features, gathered a block of rows at a time
+            digest.update(windows[part.starts[first:first + 4096]])
+        for arr in (part.targets, part.anchor_ts):
             digest.update(arr)  # a dataset's arrays are C-contiguous: hashed in place, not copied
     return train_ds, test_ds, digest.hexdigest()
 

@@ -3,11 +3,12 @@
 Second-order additive boosting against softmax cross-entropy: each round
 fits one regression tree per class to the first/second loss derivatives at
 the current scores. Trees grow level by level on feature columns cut into
-at most 256 bins once per training run, one column at a time from its sort
-order, which also counts every tree's root rows per bin. One ``np.bincount``
-per feature and sum builds all the level's node histograms, and one
-vectorized pass searches them. Training is serial and deterministic;
-``evaluation.fit_horizons`` runs fits in parallel processes.
+at most 256 bins once per training run, one column at a time, gathered from
+the dataset's series and binned from its sort order, which also counts
+every tree's root rows per bin. One ``np.bincount`` per feature and sum
+builds all the level's node histograms, and one vectorized pass searches
+them. Training is serial and deterministic; ``evaluation.fit_horizons``
+runs fits in parallel processes.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
 stacked, each in complete binary layout of depth D, the depth of its
@@ -136,19 +137,23 @@ def softmax_gradients(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     return g, h
 
 
-def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(bins, edges, counts)``: the F x n uint8 bin of every value, each
-    column's ascending bin edges (one row per column, padded with +inf), and
-    each column's values per bin (padded with 0): every tree's root counts.
+def bin_columns(powers: np.ndarray, starts: np.ndarray, lag_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bins, edges, counts)`` of the n x F feature matrix whose column j
+    is ``powers[starts + j]`` (F = ``lag_count``), so that no matrix is
+    built: the F x n uint8 bin of every value, each column's ascending bin
+    edges (one row per column, padded with +inf), and each column's values
+    per bin (padded with 0): every tree's root counts. An n x F matrix X is
+    ``powers=X.ravel()``, ``starts=F*arange(n)``.
 
-    Each column is binned alone, from its own sort order. One of at most
-    _MAX_BINS distinct values gets an edge at each of them above its
-    minimum. Any other gets, for i = 1..127, its inverted-CDF quantile i/128
-    and its smallest value at or above min + i/128 of its range: quantiles
-    resolve dense values and the grid sparse ones, as on a ramp. A value's
-    bin is the number of edges <= it, so bin > k exactly when value >= edges[k].
+    Each column is gathered and binned alone, from its own sort order. One
+    of at most _MAX_BINS distinct values gets an edge at each of them above
+    its minimum. Any other gets, for i = 1..127, its inverted-CDF quantile
+    i/128 and its smallest value at or above min + i/128 of its range:
+    quantiles resolve dense values and the grid sparse ones, as on a ramp. A
+    value's bin is the number of edges <= it, so bin > k exactly when
+    value >= edges[k].
     """
-    n, num_features = X.shape
+    n, num_features = starts.size, lag_count
     half = _MAX_BINS // 2
     # the inverted-CDF quantile i/B of n sorted values is the ceil(n*i/B)-th smallest
     quantile_at = (n * np.arange(1, half) - 1) // half
@@ -156,7 +161,7 @@ def bin_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     counts = np.zeros((num_features, _MAX_BINS), dtype=np.intp)
     bins = np.empty((num_features, n), dtype=np.uint8)
     for j in range(num_features):
-        values = np.array(X[:, j], dtype=np.float64)  # a contiguous copy sorts and gathers faster
+        values = powers[starts + j]
         order = np.argsort(values)  # tied values share a bin, so their order does not matter
         column = values[order]
         cut = column[np.flatnonzero(column[1:] != column[:-1]) + 1]
@@ -375,11 +380,11 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     tree per class against them, and accumulates its leaf weights times the
     learning rate; the model stores those products. The base score is the
     log of add-one-smoothed class priors. The feature columns are binned
-    once, and a split after bin k stores threshold edges[k], a value of its
+    once, each gathered from the dataset's powers, so no feature matrix is
+    built; a split after bin k stores threshold edges[k], a value of its
     column: predict routes the training rows exactly as their bins did.
     """
     params = params or HyperParams()
-    X = dataset.features
     n = len(dataset)
     if n == 0:
         raise TrainingError("empty dataset")
@@ -391,7 +396,7 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     counts = np.bincount(y, minlength=num_classes)
     base_score = np.log((counts + 1.0) / (n + num_classes))
     scores = np.tile(base_score, (n, 1))
-    bins, edges, root_counts = bin_columns(X)
+    bins, edges, root_counts = bin_columns(dataset.powers, dataset.starts, dataset.horizon.lag_count)
     n_trees, top = params.n_estimators * num_classes, params.max_depth
     feature = np.empty((n_trees, 2**top - 1), dtype=np.int32)
     threshold = np.empty((n_trees, 2**top - 1))
@@ -412,7 +417,7 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
         threshold=threshold[:, :2**depth - 1],
         leaf=params.learning_rate * leaf[:, ::2 ** (top - depth)],
         base_score=base_score,
-        n_features=X.shape[1],
+        n_features=dataset.horizon.lag_count,
     )
 
 

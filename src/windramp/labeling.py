@@ -3,6 +3,9 @@
 Turns a power series into per-horizon classification datasets: the power
 change over an S-step window, its ramp class against ordered thresholds,
 and a feature row of the last L raw power values ending at each anchor.
+A dataset stores no feature matrix: it holds the series' powers, shared by
+every horizon and every part of a split, and the index where each row's
+window starts in them; the rows are gathered only where they are predicted.
 Each row also carries the class persistence predicts, so only this module
 decides which anchors have an observation S steps back.
 """
@@ -77,15 +80,20 @@ class HorizonSpec:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Lag-feature matrix plus ramp-class targets for one horizon.
+    """Ramp-class targets for one horizon, on rows of one shared series.
 
-    ``features[i]`` is (w(t-L+1), ..., w(t)) for anchor t; ``targets[i]`` is
-    the class of w(t+S) - w(t). ``observed[i]`` is the class of
-    w(t) - w(t-S), or 0 when t-S lies before the anchor's segment.
-    ``anchor_ts`` holds each row's anchor timestamp, which the split digest pins.
+    ``powers`` is the whole series, shared read-only by every horizon and
+    part, and ``starts[i]`` is where row i's lag window begins in it:
+    ``features[i]`` is powers[starts[i] : starts[i]+L], (w(t-L+1), ..., w(t))
+    for anchor t. ``targets[i]`` is the class of w(t+S) - w(t).
+    ``observed[i]`` is the class of w(t) - w(t-S), or 0 when t-S lies before
+    the anchor's segment. ``anchor_ts`` holds each row's anchor timestamp,
+    which the split digest pins. Any n x F matrix X is ``powers=X.ravel()``
+    and ``starts=F*arange(n)``.
     """
 
-    features: np.ndarray
+    powers: np.ndarray
+    starts: np.ndarray
     targets: np.ndarray
     horizon: HorizonSpec
     thresholds: ThresholdSet
@@ -93,27 +101,30 @@ class LabeledDataset:
     observed: np.ndarray
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.features, dtype=np.float64)
+        L = self.horizon.lag_count
+        powers = np.ascontiguousarray(self.powers, dtype=np.float64)
+        starts = np.ascontiguousarray(self.starts, dtype=np.int64)
         y = np.ascontiguousarray(self.targets, dtype=np.int64)
-        if X.ndim != 2 or X.shape[1] != self.horizon.lag_count:
-            raise DataError(
-                f"features must be n x {self.horizon.lag_count}, got shape {X.shape}"
-            )
-        if y.shape != (X.shape[0],):
-            raise DataError("targets length must match feature rows")
-        if not np.all(np.isfinite(X)):
-            raise DataError("features contain non-finite values")
+        if powers.ndim != 1:
+            raise DataError(f"powers must be 1-d, got shape {powers.shape}")
+        if not np.all(np.isfinite(powers)):
+            raise DataError("powers contain non-finite values")
+        if starts.ndim != 1 or (starts.size and (starts.min() < 0 or starts.max() > powers.size - L)):
+            raise DataError(f"starts must be a 1-d array of window starts in 0..{powers.size - L}")
+        if y.shape != starts.shape:
+            raise DataError("targets length must match starts")
         if y.size and (y.min() < 1 or y.max() > self.thresholds.num_classes):
             raise DataError(
                 f"target ids must be in 1..{self.thresholds.num_classes}"
             )
         ts = np.ascontiguousarray(self.anchor_ts, dtype=np.int64)
-        if ts.shape != (X.shape[0],):
-            raise DataError("anchor_ts length must match feature rows")
+        if ts.shape != y.shape:
+            raise DataError("anchor_ts length must match starts")
         seen = np.ascontiguousarray(self.observed, dtype=np.int64)
         if seen.shape != y.shape or (seen.size and (seen.min() < 0 or seen.max() > self.thresholds.num_classes)):
             raise DataError(f"observed must hold one id in 0..{self.thresholds.num_classes} per row")
-        for name, arr in (("features", X), ("targets", y), ("anchor_ts", ts), ("observed", seen)):
+        for name, arr in (("powers", powers), ("starts", starts), ("targets", y), ("anchor_ts", ts),
+                          ("observed", seen)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -124,10 +135,17 @@ class LabeledDataset:
     def num_classes(self) -> int:
         return self.thresholds.num_classes
 
+    @property
+    def features(self) -> np.ndarray:
+        """The n x L lag windows, gathered anew from ``powers`` at each call."""
+        return np.lib.stride_tricks.sliding_window_view(self.powers, self.horizon.lag_count)[self.starts]
+
     def select(self, rows: np.ndarray) -> "LabeledDataset":
-        """New dataset restricted to the given row positions (order kept)."""
+        """New dataset restricted to the given row positions (order kept),
+        sharing ``powers``: only the per-row arrays are copied."""
         return LabeledDataset(
-            features=self.features[rows],
+            powers=self.powers,
+            starts=self.starts[rows],
             targets=self.targets[rows],
             horizon=self.horizon,
             thresholds=self.thresholds,
@@ -158,31 +176,33 @@ def build_dataset(
     """Assemble the S-step-ahead dataset for one horizon.
 
     For every anchor t with a full lag window behind it and S observed steps
-    ahead of it (within a single segment), the feature row is the last L
-    powers ending at t and the target is the class of w(t+S) - w(t). Rows
-    never straddle segment gaps. Each segment's S-step changes are classed
-    once: the row at t takes ``change[t]`` as its target and ``change[t-S]``
-    as its observed class, 0 for the first S-(L-1) anchors when L-1 < S.
+    ahead of it (within a single segment), the row's window starts L-1 steps
+    before t in the series' own ``powers``, which every row shares, and the
+    target is the class of w(t+S) - w(t). Rows never straddle segment gaps,
+    so no window holds points of two segments. Each segment's S-step
+    changes are classed once: the row at t takes ``change[t]`` as its target
+    and ``change[t-S]`` as its observed class, 0 for the first S-(L-1)
+    anchors when L-1 < S.
     """
     L, S = horizon.lag_count, horizon.steps_ahead
-    parts = []  # per segment: (windows, targets, anchor timestamps, observed classes)
-    for ts, pw in series.segments():
+    parts = []  # per segment: (window starts, targets, anchor timestamps, observed classes)
+    for (first, _), (ts, pw) in zip(series.segment_bounds, series.segments()):
         n = pw.size
         count = n - L - S + 1
         if count <= 0:
             continue
-        # anchor indices L-1 .. n-S-1; row j of the window view starts at w(j)
+        # anchor indices L-1 .. n-S-1; the window of the anchor at L-1+j starts at w(j)
         change = assign_classes(pw[S:] - pw[:n - S], thresholds)
         back = np.arange(L - 1 - S, n - 2 * S)  # t-S for each anchor t; a slice would wrap when n < 2S
-        parts.append((np.lib.stride_tricks.sliding_window_view(pw, L)[:count], change[L - 1:], ts[L - 1:n - S],
+        parts.append((first + np.arange(count), change[L - 1:], ts[L - 1:n - S],
                       np.where(back >= 0, change[back.clip(0)], 0)))
     if not parts:
         raise DataError(
             f"no segment is long enough for lag_count={L} and steps_ahead={S}"
         )
-    features, targets, anchor_ts, observed = (np.concatenate(arrays) for arrays in zip(*parts))
-    return LabeledDataset(features=features, targets=targets, horizon=horizon, thresholds=thresholds,
-                          anchor_ts=anchor_ts, observed=observed)
+    starts, targets, anchor_ts, observed = (np.concatenate(arrays) for arrays in zip(*parts))
+    return LabeledDataset(powers=series.powers, starts=starts, targets=targets, horizon=horizon,
+                          thresholds=thresholds, anchor_ts=anchor_ts, observed=observed)
 
 
 def class_distribution(dataset: LabeledDataset) -> dict[int, tuple[int, float]]:

@@ -45,16 +45,24 @@ def make_series(powers, resolution_s=600, capacity=20.0, gaps_at=()):
     return wps
 
 
+def window_rows(X):
+    """``(powers, starts, lag_count)`` whose lag windows are the rows of the
+    n x F matrix X: ``powers=X.ravel()``, ``starts=F*arange(n)``."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return X.ravel(), X.shape[1] * np.arange(X.shape[0]), X.shape[1]
+
+
 def make_dataset(features, targets, thresholds=None, steps_ahead=1):
-    features = np.asarray(features, dtype=np.float64)
+    powers, starts, lag_count = window_rows(features)
     thresholds = thresholds or ThresholdSet((10.0,))
     return LabeledDataset(
-        features=features,
+        powers=powers,
+        starts=starts,
         targets=np.asarray(targets, dtype=np.int64),
-        horizon=HorizonSpec(steps_ahead=steps_ahead, lag_count=features.shape[1]),
+        horizon=HorizonSpec(steps_ahead=steps_ahead, lag_count=lag_count),
         thresholds=thresholds,
-        anchor_ts=np.arange(features.shape[0]),
-        observed=np.zeros(features.shape[0], dtype=np.int64),
+        anchor_ts=np.arange(starts.size),
+        observed=np.zeros(starts.size, dtype=np.int64),
     )
 
 

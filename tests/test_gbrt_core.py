@@ -8,7 +8,7 @@ import pytest
 from windramp import DataError, HyperParams
 from windramp.gbrt import bin_columns, softmax_gradients
 
-from .conftest import grown_tree, tree_depth
+from .conftest import grown_tree, tree_depth, window_rows
 from .oracles import brute_force_best_split, finite_difference_gradients, leaf_slot
 
 
@@ -65,7 +65,7 @@ def _tree_values(tree, X):
 def _stump(X, g, h, params):
     """The root split (feature, threshold) of a depth-1 tree, or None, and
     the leaf weight each row of X reaches."""
-    tree, _ = grown_tree(*bin_columns(X), g, h, replace(params, max_depth=1))
+    tree, _ = grown_tree(*bin_columns(*window_rows(X)), g, h, replace(params, max_depth=1))
     root = (int(tree.feature[0]), float(tree.threshold[0])) if tree.feature[0] >= 0 else None
     return root, _tree_values(tree, X)
 
@@ -165,7 +165,7 @@ class TestGrowTree:
         h = np.array([1.0, 1.0])
         params = HyperParams(n_estimators=1, max_depth=1, reg_lambda=1.0,
                              min_child_hessian=0.0)
-        tree, _ = grown_tree(*bin_columns(X), g, h, params)
+        tree, _ = grown_tree(*bin_columns(*window_rows(X)), g, h, params)
         assert tree_depth(tree) == 1
         assert tree.n_leaves == 2
         # w* = -G/(H+lambda) per side
@@ -176,7 +176,7 @@ class TestGrowTree:
         g = np.zeros(3)
         h = np.ones(3)
         params = HyperParams(n_estimators=1, max_depth=3, min_child_hessian=0.0)
-        tree, _ = grown_tree(*bin_columns(X), g, h, params)
+        tree, _ = grown_tree(*bin_columns(*window_rows(X)), g, h, params)
         assert tree.n_leaves == 1
         assert tree_depth(tree) == 0
         assert _tree_values(tree, X) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
@@ -188,7 +188,7 @@ class TestGrowTree:
         g = rng.normal(size=64)
         h = np.full(64, 0.25)
         params = HyperParams(n_estimators=1, max_depth=max_depth, min_child_hessian=0.0)
-        tree, _ = grown_tree(*bin_columns(X), g, h, params)
+        tree, _ = grown_tree(*bin_columns(*window_rows(X)), g, h, params)
         assert tree_depth(tree) <= max_depth
 
     def test_children_nonempty_with_zero_mch(self):
@@ -197,7 +197,7 @@ class TestGrowTree:
         g = rng.normal(size=32)
         h = np.full(32, 0.25)
         params = HyperParams(n_estimators=1, max_depth=4, min_child_hessian=0.0)
-        tree, _ = grown_tree(*bin_columns(X), g, h, params)
+        tree, _ = grown_tree(*bin_columns(*window_rows(X)), g, h, params)
         # walk the full training set down the tree (children of slot i at
         # 2i+1 and 2i+2): every split must route at least one row to each
         # child
@@ -222,7 +222,7 @@ class TestGrowTree:
         h = np.array([1.0, 1.0])
         params = HyperParams(n_estimators=1, max_depth=2, min_child_hessian=0.0)
         assert brute_force_best_split(X, g, h, 1.0, 0.0, 0.0)[:2] == (0, upper)
-        tree, _ = grown_tree(*bin_columns(X), g, h, params)
+        tree, _ = grown_tree(*bin_columns(*window_rows(X)), g, h, params)
         assert (tree.feature[0], tree.threshold[0]) == (0, upper)
         assert tree.n_leaves == 2
         assert _tree_values(tree, X) == [-0.5, 0.5]
@@ -236,7 +236,7 @@ class TestGrowTree:
         X = (rng.random((3000, 8)) * 100).round() / 100
         g = rng.random(3000) - 0.5
         h = rng.random(3000) * 0.25 + 0.01
-        tree, values = grown_tree(*bin_columns(X), g, h, HyperParams(n_estimators=1, max_depth=6))
+        tree, values = grown_tree(*bin_columns(*window_rows(X)), g, h, HyperParams(n_estimators=1, max_depth=6))
         assert (tree.n_leaves, tree_depth(tree)) == (34, 6)
         digest = hashlib.sha256(b"".join(a.tobytes() for a in (tree.feature, tree.threshold, tree.leaf, values)))
         assert digest.hexdigest() == "4852bf506f5b10bdf522564c1bdab1c57e05d6f79b52c4e13a54acc55d12ab0f"
@@ -250,7 +250,7 @@ class TestGrowTree:
         X[:, 3] = rng.integers(0, 40, size=2000)  # few distinct values beside many
         g = rng.random(2000) - 0.5
         h = rng.random(2000) * 0.25 + 0.01
-        tree, values = grown_tree(*bin_columns(X), g, h, HyperParams(n_estimators=1, max_depth=5))
+        tree, values = grown_tree(*bin_columns(*window_rows(X)), g, h, HyperParams(n_estimators=1, max_depth=5))
         splits = np.flatnonzero(tree.feature >= 0)
         assert splits.size > 1
         for slot in splits:
@@ -261,7 +261,7 @@ class TestGrowTree:
 class TestBinColumns:
     def test_few_distinct_values_get_one_bin_each(self):
         X = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
-        bins, edges, _ = bin_columns(X)
+        bins, edges, _ = bin_columns(*window_rows(X))
         assert bins.dtype == np.uint8
         assert edges.tolist() == [[2.0, 3.0], [np.inf, np.inf]]
         assert bins.tolist() == [[2, 0, 1, 2], [0, 0, 0, 0]]
@@ -274,7 +274,7 @@ class TestBinColumns:
         # range, 20i, is a value of the column
         X = np.stack([np.repeat(rng.normal(size=1280), 2), rng.permutation(np.append(np.arange(2559.0), 2560.0))],
                      axis=1)
-        bins, edges, _ = bin_columns(X)
+        bins, edges, _ = bin_columns(*window_rows(X))
         steps = np.arange(1, 128) / 128
         for j, column in enumerate(X.T):
             quantiles = np.quantile(column, steps, method="inverted_cdf")
@@ -294,10 +294,11 @@ class TestBinColumns:
         time, under half of X's bytes; a transposed and a sorted copy of X
         would take more than twice them."""
         X = np.random.default_rng(0).normal(size=(20_000, 36))
-        bin_columns(X[:300])  # numpy imports some modules on first use: leave them out of the peak
+        bin_columns(*window_rows(X[:300]))  # numpy imports some modules on first use: leave them out of the peak
+        rows = window_rows(X)
         tracemalloc.start()
         try:
-            bin_columns(X)
+            bin_columns(*rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

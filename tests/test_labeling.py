@@ -1,7 +1,13 @@
+import json
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from windramp import DataError, HorizonSpec, LabeledDataset, ThresholdSet, build_dataset
+from windramp import (DataError, HorizonSpec, LabeledDataset, ThresholdSet, build_dataset, generate_series,
+                      write_series)
+from windramp.cli import main
 from windramp.labeling import assign_classes, class_distribution
 
 from .conftest import make_dataset, make_series
@@ -180,12 +186,37 @@ class TestBuildDataset:
 
 
 class TestLabeledDataset:
+    @staticmethod
+    def _fields(**edit):
+        """Four rows of two lags over eight powers, with ``edit`` applied."""
+        return {"powers": np.arange(8.0), "starts": 2 * np.arange(4), "targets": [1, 2, 3, 4],
+                "horizon": HorizonSpec(1, 2), "thresholds": ThresholdSet((10.0,)), "anchor_ts": np.arange(4),
+                "observed": np.zeros(4, dtype=np.int64), **edit}
+
+    def test_features_are_the_windows_at_starts(self):
+        ds = LabeledDataset(**self._fields(starts=[6, 0, 3, 3]))
+        assert ds.features.tolist() == [[6, 7], [0, 1], [3, 4], [3, 4]]
+        assert not ds.powers.flags.writeable and not ds.starts.flags.writeable
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"powers": np.zeros((4, 2))}, "powers must be 1-d"),
+        ({"powers": np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0])}, "non-finite"),
+        ({"starts": [0, 2, 4, 7]}, "starts"),  # its window would end past the last power
+        ({"starts": [-1, 2, 4, 6]}, "starts"),
+        ({"starts": np.zeros((2, 2))}, "starts"),
+        ({"targets": [1, 2, 3]}, "targets length"),
+        ({"anchor_ts": np.arange(5)}, "anchor_ts length"),
+    ], ids=["powers_2d", "powers_nan", "start_past_end", "start_negative", "starts_2d", "targets_short",
+            "anchor_ts_long"])
+    def test_malformed_fields_rejected(self, edit, match):
+        with pytest.raises(DataError, match=match):
+            LabeledDataset(**self._fields(**edit))
+
     @pytest.mark.parametrize("observed", [[0, 1, 2], [0, 1, 2, 3, 4], [0, -1, 2, 3], [0, 1, 5, 3]],
                              ids=["short", "long", "negative", "above_num_classes"])
-    def test_bad_observed_rejected(self, single_threshold, observed):
+    def test_bad_observed_rejected(self, observed):
         with pytest.raises(DataError, match="observed"):
-            LabeledDataset(features=np.zeros((4, 2)), targets=[1, 2, 3, 4], horizon=HorizonSpec(1, 2),
-                           thresholds=single_threshold, anchor_ts=np.arange(4), observed=observed)
+            LabeledDataset(**self._fields(observed=observed))
 
 
 class TestClassDistribution:
@@ -212,3 +243,40 @@ class TestClassDistribution:
         dist = class_distribution(ds)
         assert dist[3] == (5, 100.0)
         assert all(cnt == 0 for c, (cnt, _) in dist.items() if c != 3)
+
+
+class TestNoWindowCopies:
+    """A dataset and every part split from it index one shared series; no
+    lag window is copied until rows are predicted."""
+
+    def test_train_of_six_horizons_holds_no_lag_windows(self, tmp_path):
+        """``train`` of horizons 1..6 (L=36) peaks under the bytes of two
+        horizons' lag windows; six train parts of copied windows hold about
+        five."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "hyperparams": {"n_estimators": 1, "max_depth": 1}}))
+
+        def train(points):
+            csv = tmp_path / f"series_{points}.csv"
+            write_series(generate_series(points, seed=2), csv)
+            return main(["train", "--config", str(config), "--data", str(csv), "--capacity-mw", "20",
+                         "--out", str(tmp_path / f"out_{points}")])
+
+        assert train(400) == 0  # numpy imports some modules on first use: leave them out of the peak
+        points = 20_000
+        tracemalloc.start()
+        try:
+            assert train(points) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (points - 36) * 36 * 8
+
+    def test_select_shares_powers(self):
+        wps = generate_series(3000, seed=1)
+        ds = build_dataset(wps, HorizonSpec(6, 36), ThresholdSet.from_fraction(0.5, 20.0))
+        part = ds.select(np.arange(0, len(ds), 3))
+        assert np.shares_memory(ds.powers, wps.powers) and np.shares_memory(part.powers, ds.powers)
+        assert np.array_equal(part.features, ds.features[::3])
+        # what a worker pool pickles into each job: the series and the per-row arrays, not the windows
+        assert len(pickle.dumps(part)) < part.features.nbytes / 4

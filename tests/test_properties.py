@@ -28,7 +28,7 @@ from windramp.gbrt import bin_columns, deserialize_model, serialize_model, softm
 from windramp.labeling import assign_classes
 from windramp.series import LoadReport
 
-from .conftest import grown_tree, make_dataset, quadrant_dataset
+from .conftest import grown_tree, make_dataset, quadrant_dataset, window_rows
 from .oracles import brute_force_tree, document_scores, naive_bin_columns, naive_class
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -340,7 +340,7 @@ def test_grow_tree_matches_brute_force_tree(rows, max_depth, min_child_hessian, 
     g = np.array([gi for _, gi, _ in rows])
     h = np.array([hi for _, _, hi in rows])
     params = HyperParams(n_estimators=1, max_depth=max_depth, gamma=gamma, min_child_hessian=min_child_hessian)
-    bins, edges, counts = bin_columns(X)
+    bins, edges, counts = bin_columns(*window_rows(X))
     cells = nodes_per_block * bins.shape[0] * (edges.shape[1] + 1) if nodes_per_block else gbrt._HIST_CELLS
     with mock.patch.object(gbrt, "_HIST_CELLS", cells):
         tree, values = grown_tree(bins, edges, counts, g, h, params)
@@ -387,7 +387,7 @@ def test_bin_columns_matches_naive_binning(X):
     sorting every column at once, bit for bit, and the same edges as
     values. Only an edge's zero sign may differ: it is always +0.0. The
     counts are each column's bin counts."""
-    bins, edges, counts = bin_columns(X)
+    bins, edges, counts = bin_columns(*window_rows(X))
     naive_bins, naive_edges = naive_bin_columns(X)
     assert bins.dtype == np.uint8 and bins.tobytes() == naive_bins.tobytes() and bins.shape == naive_bins.shape
     assert edges.shape == naive_edges.shape and np.array_equal(edges, naive_edges)
