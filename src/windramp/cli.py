@@ -20,13 +20,14 @@ once as it was built (sorted keys, 2-space indent):
   and ``models/horizon_S.model.json``, and prints one line. Then it writes
   ``config.resolved.json``, and last ``models/manifest.json``, which maps
   each "S" to ``{"model_sha256", "split_sha256"}``: the sha256 of the model
-  file, and of the train part's and then the test part's features, targets
-  and anchor timestamps. A failed run leaves the last config and manifest.
+  file, and of the series' powers followed by the train part's and then the
+  test part's window starts and targets. A failed run leaves the last config
+  and manifest.
 - ``evaluate`` first refuses (exit 3) a manifest that is missing or not a
   JSON object, or a horizon it does not list. It splits by its own ``seed``
   and ``test_fraction`` and refuses a horizon whose entry differs from the
-  loaded model's and the dealt rows': the model file, the series, a
-  labeling setting or a split setting changed since ``train``. It
+  loaded model's and the dealt rows': the model file, the series' powers,
+  a labeling setting or a split setting changed since ``train``. It
   writes ``reports/evaluation.json`` (the deterministic scores) and
   ``reports/timing.json`` (wall-clock seconds per example). It prints the
   comparison table, which is rendered from those two and not stored.
@@ -250,18 +251,17 @@ def _model_path(dirs: dict, s: int) -> Path:
 def _split(cfg: dict, s: int, ds: labeling.LabeledDataset):
     """``(train part, test part, split_sha256)`` of horizon S's dataset split
     by the config's seed and test_fraction; a part left empty is refused. The
-    digest is the sha256 of the train part's and then the test part's rows."""
+    digest is the sha256 of the series' powers, then the train part's and the
+    test part's window starts and targets: it binds every window, target and
+    lag count (for a fixed S, another L deals another number of starts)."""
     train_ds, test_ds = evaluation.stratified_split(ds, cfg["test_fraction"], cfg["seed"])
     if not (len(train_ds) and len(test_ds)):
         raise DataError(f"horizon S={s}: test_fraction {cfg['test_fraction']} leaves the "
                         f"{'train' if len(test_ds) else 'test'} part of {len(train_ds) + len(test_ds)} rows empty")
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(ds.powers)  # a dataset's arrays are C-contiguous: hashed in place, not copied
     for part in (train_ds, test_ds):
-        windows = np.lib.stride_tricks.sliding_window_view(part.powers, part.horizon.lag_count)
-        for first in range(0, len(part), 4096):  # the features, gathered a block of rows at a time
-            digest.update(windows[part.starts[first:first + 4096]])
-        for arr in (part.targets, part.anchor_ts):
-            digest.update(arr)  # a dataset's arrays are C-contiguous: hashed in place, not copied
+        digest.update(part.starts)
+        digest.update(part.targets)
     return train_ds, test_ds, digest.hexdigest()
 
 

@@ -25,7 +25,6 @@ document as the text table ``windramp evaluate`` prints.
 from __future__ import annotations
 
 import itertools
-import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,8 +39,6 @@ from . import baselines
 from .errors import ConfigError, DataError, TrainingError
 from .gbrt import GbrtModel, HyperParams, train
 from .labeling import LabeledDataset
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -147,15 +144,12 @@ def stratified_split(dataset: LabeledDataset, test_fraction: float, seed: int) -
     gives each class's first rows to test: round(fraction * n) rows shared
     among the classes by largest remainder (ties to the lower class id), so
     each class's test share is within one row of the fraction. A class with
-    a single instance is reported and kept in train."""
+    a single instance is kept in train."""
     if not (0 < test_fraction < 1):
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if len(dataset) == 0:
         raise DataError("cannot split an empty dataset")
     counts = np.bincount(dataset.targets, minlength=dataset.num_classes + 1)[1:]
-    singles = np.flatnonzero(counts == 1) + 1
-    if singles.size:
-        logger.warning("classes %s have a single instance; assigning to train", singles.tolist())
     eligible = np.where(counts == 1, 0, counts)
     test = _largest_remainder(test_fraction * eligible, round(test_fraction * int(eligible.sum())), eligible)
     test_rows, train_rows = _deal(dataset.targets, np.column_stack([test, counts - test]), seed)

@@ -121,18 +121,9 @@ def softmax_gradients(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     ``targets`` are 0-based class indices. For row i with probabilities
     p = softmax(scores_i): g_c = p_c - 1[c == y_i], h_c = p_c (1 - p_c).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if scores.ndim != 2:
-        raise DataError(f"scores must be 2-d, got shape {scores.shape}")
-    n, num_classes = scores.shape
-    if targets.shape != (n,):
-        raise DataError("targets length must match score rows")
-    if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
-        raise DataError(f"target indices must be in 0..{num_classes - 1}")
     p = softmax(scores)
     g = p.copy()
-    g[np.arange(n), targets] -= 1.0
+    g[np.arange(len(targets)), targets] -= 1.0
     h = p * (1.0 - p)
     return g, h
 

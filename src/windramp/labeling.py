@@ -87,9 +87,9 @@ class LabeledDataset:
     ``features[i]`` is powers[starts[i] : starts[i]+L], (w(t-L+1), ..., w(t))
     for anchor t. ``targets[i]`` is the class of w(t+S) - w(t).
     ``observed[i]`` is the class of w(t) - w(t-S), or 0 when t-S lies before
-    the anchor's segment. ``anchor_ts`` holds each row's anchor timestamp,
-    which the split digest pins. Any n x F matrix X is ``powers=X.ravel()``
-    and ``starts=F*arange(n)``.
+    the anchor's segment. A row built from a series has the anchor time
+    ``timestamps[starts[i] + L - 1]``; the dataset keeps no timestamps. Any
+    n x F matrix X is ``powers=X.ravel()`` and ``starts=F*arange(n)``.
     """
 
     powers: np.ndarray
@@ -97,7 +97,6 @@ class LabeledDataset:
     targets: np.ndarray
     horizon: HorizonSpec
     thresholds: ThresholdSet
-    anchor_ts: np.ndarray
     observed: np.ndarray
 
     def __post_init__(self):
@@ -117,14 +116,10 @@ class LabeledDataset:
             raise DataError(
                 f"target ids must be in 1..{self.thresholds.num_classes}"
             )
-        ts = np.ascontiguousarray(self.anchor_ts, dtype=np.int64)
-        if ts.shape != y.shape:
-            raise DataError("anchor_ts length must match starts")
         seen = np.ascontiguousarray(self.observed, dtype=np.int64)
         if seen.shape != y.shape or (seen.size and (seen.min() < 0 or seen.max() > self.thresholds.num_classes)):
             raise DataError(f"observed must hold one id in 0..{self.thresholds.num_classes} per row")
-        for name, arr in (("powers", powers), ("starts", starts), ("targets", y), ("anchor_ts", ts),
-                          ("observed", seen)):
+        for name, arr in (("powers", powers), ("starts", starts), ("targets", y), ("observed", seen)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -149,7 +144,6 @@ class LabeledDataset:
             targets=self.targets[rows],
             horizon=self.horizon,
             thresholds=self.thresholds,
-            anchor_ts=self.anchor_ts[rows],
             observed=self.observed[rows],
         )
 
@@ -176,17 +170,19 @@ def build_dataset(
     """Assemble the S-step-ahead dataset for one horizon.
 
     For every anchor t with a full lag window behind it and S observed steps
-    ahead of it (within a single segment), the row's window starts L-1 steps
-    before t in the series' own ``powers``, which every row shares, and the
-    target is the class of w(t+S) - w(t). Rows never straddle segment gaps,
-    so no window holds points of two segments. Each segment's S-step
+    ahead of it (within a single segment of ``segment_bounds``), the row's
+    window starts L-1 steps before t in the series' own ``powers``, which
+    every row shares, and the target is the class of w(t+S) - w(t). Rows
+    never straddle segment gaps, so no window holds points of two segments.
+    The dataset keeps no timestamps. Each segment's S-step
     changes are classed once: the row at t takes ``change[t]`` as its target
     and ``change[t-S]`` as its observed class, 0 for the first S-(L-1)
     anchors when L-1 < S.
     """
     L, S = horizon.lag_count, horizon.steps_ahead
-    parts = []  # per segment: (window starts, targets, anchor timestamps, observed classes)
-    for (first, _), (ts, pw) in zip(series.segment_bounds, series.segments()):
+    parts = []  # per segment: (window starts, targets, observed classes)
+    for first, stop in series.segment_bounds:
+        pw = series.powers[first:stop]
         n = pw.size
         count = n - L - S + 1
         if count <= 0:
@@ -194,15 +190,14 @@ def build_dataset(
         # anchor indices L-1 .. n-S-1; the window of the anchor at L-1+j starts at w(j)
         change = assign_classes(pw[S:] - pw[:n - S], thresholds)
         back = np.arange(L - 1 - S, n - 2 * S)  # t-S for each anchor t; a slice would wrap when n < 2S
-        parts.append((first + np.arange(count), change[L - 1:], ts[L - 1:n - S],
-                      np.where(back >= 0, change[back.clip(0)], 0)))
+        parts.append((first + np.arange(count), change[L - 1:], np.where(back >= 0, change[back.clip(0)], 0)))
     if not parts:
         raise DataError(
             f"no segment is long enough for lag_count={L} and steps_ahead={S}"
         )
-    starts, targets, anchor_ts, observed = (np.concatenate(arrays) for arrays in zip(*parts))
+    starts, targets, observed = (np.concatenate(arrays) for arrays in zip(*parts))
     return LabeledDataset(powers=series.powers, starts=starts, targets=targets, horizon=horizon,
-                          thresholds=thresholds, anchor_ts=anchor_ts, observed=observed)
+                          thresholds=thresholds, observed=observed)
 
 
 def class_distribution(dataset: LabeledDataset) -> dict[int, tuple[int, float]]:

@@ -16,7 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterator
 
 import numpy as np
 
@@ -72,11 +71,6 @@ class WindPowerSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (timestamps, powers) views, one per contiguous segment."""
-        for start, stop in self.segment_bounds:
-            yield self.timestamps[start:stop], self.powers[start:stop]
 
 
 def _validate_points(ts: np.ndarray, pw: np.ndarray, capacity: float) -> None:

@@ -61,7 +61,6 @@ def make_dataset(features, targets, thresholds=None, steps_ahead=1):
         targets=np.asarray(targets, dtype=np.int64),
         horizon=HorizonSpec(steps_ahead=steps_ahead, lag_count=lag_count),
         thresholds=thresholds,
-        anchor_ts=np.arange(starts.size),
         observed=np.zeros(starts.size, dtype=np.int64),
     )
 

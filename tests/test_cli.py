@@ -1,11 +1,17 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from windramp import ParamGrid, WindPowerSeries, generate_series, load_model, load_series, write_series
+import windramp
+from windramp import (HorizonSpec, ParamGrid, ThresholdSet, WindPowerSeries, build_dataset, generate_series,
+                      load_model, load_series, stratified_split, write_series)
 from windramp.cli import main
 
 LAGS = 12
@@ -165,11 +171,13 @@ class TestPipeline:
         lambda argv: argv + ["--seed", "5"],
         lambda argv: argv + ["--test-fraction", "0.3"],
         lambda argv: argv[:argv.index("--seed")] + argv[argv.index("--seed") + 2:],
-    ], ids=["seed_5", "test_fraction_0.3", "default_seed"])
+        lambda argv: argv + ["--lags", "11"],
+    ], ids=["seed_5", "test_fraction_0.3", "default_seed", "lags_11"])
     def test_evaluate_with_other_split_settings_exits_3(self, workspace, capsys, edit):
-        """evaluate splits by its own seed and test_fraction. Settings other
-        than train's deal other rows, and scoring them would score training
-        rows, so the recorded digest refuses them."""
+        """evaluate splits by its own seed and test_fraction and windows by
+        its own lag count. Settings other than train's deal other rows, and
+        scoring them would score training rows, so the recorded digest
+        refuses them."""
         assert main(workspace["argv"]("train")) == 0  # --seed 4, default test_fraction 0.2
         capsys.readouterr()
         assert main(edit(workspace["argv"]("evaluate"))) == 3
@@ -235,12 +243,60 @@ class TestPipeline:
         err = error_line(capsys)
         assert err["error"] == "data" and "missing" in err["message"]
 
+    @staticmethod
+    def _edit_power(wps, i):
+        """The series with power i moved by 0.001 MW, within [0, capacity]."""
+        powers = wps.powers.copy()
+        powers[i] += 0.001 if powers[i] + 0.001 <= wps.rated_capacity_mw else -0.001
+        return WindPowerSeries(wps.timestamps, powers, wps.resolution_s, wps.rated_capacity_mw)
+
     def test_evaluate_after_series_changed_exits_3(self, workspace, capsys):
+        """Any change to the powers is refused: another series, one power
+        inside a test row's lag window, or the last power, which is only
+        ever a target and keeps its class here."""
         assert main(workspace["argv"]("train")) == 0
-        write_series(generate_series(2000, rated_capacity_mw=20.0, seed=5), workspace["csv"])
-        assert main(workspace["argv"]("evaluate")) == 3
-        err = error_line(capsys)
-        assert err["error"] == "data" and "changed" in err["message"]
+        wps, _ = load_series(workspace["csv"], resolution_s=600, rated_capacity_mw=20.0)
+        ds = build_dataset(wps, HorizonSpec(1, LAGS), ThresholdSet((10.0,)))
+        in_test_window = int(stratified_split(ds, 0.2, 4)[1].starts[0]) + LAGS // 2
+        for changed in (generate_series(2000, rated_capacity_mw=20.0, seed=5), self._edit_power(wps, in_test_window),
+                        self._edit_power(wps, len(wps) - 1)):
+            write_series(changed, workspace["csv"])
+            capsys.readouterr()
+            assert main(workspace["argv"]("evaluate")) == 3
+            captured = capsys.readouterr()
+            assert len(captured.err.splitlines()) == 1 and captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "data" and "differs from the manifest" in err["message"]
+
+    def test_evaluate_after_time_shift_matches(self, workspace):
+        """A series shifted by a whole number of steps keeps its segments and
+        powers, so it deals the same rows and scores them the same."""
+        for stage in ("train", "evaluate"):
+            assert main(workspace["argv"](stage)) == 0
+        report = workspace["out"] / "reports" / "evaluation.json"
+        before = report.read_bytes()
+        wps, _ = load_series(workspace["csv"], resolution_s=600, rated_capacity_mw=20.0)
+        write_series(WindPowerSeries(wps.timestamps + 6000, wps.powers, 600, 20.0), workspace["csv"])
+        assert main(workspace["argv"]("evaluate")) == 0
+        assert report.read_bytes() == before
+
+    def test_single_instance_class_keeps_one_stderr_line(self, tmp_path):
+        """A class with one row goes to train without a word on stderr: a
+        refused run there prints its one JSON line and nothing else. Run as
+        a process, so stderr is the program's own."""
+        powers = 5 + np.random.default_rng(0).uniform(0, 1, 300)
+        powers[150:] += 11  # the one S=1 up-ramp past 10 MW
+        write_series(WindPowerSeries((np.arange(300) + 1) * 600, powers, 600, 20.0), tmp_path / "series.csv")
+        src = str(Path(windramp.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "windramp.cli", "train", "--data", "series.csv",
+                              "--capacity-mw", "20", "--lags", "4", "--horizons", "1", "--test-fraction", "0.001"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "data" and "test part of 296 rows empty" in err["message"]
 
     @pytest.mark.parametrize("edit, code, kind, reason", [
         (lambda ws: ws["csv"].unlink(), 3, "data", "cannot read series file"),
@@ -307,15 +363,15 @@ class TestPipeline:
         }
 
     def test_split_digests_pinned(self, workspace):
-        """Each horizon's ``split_sha256``: the bytes of the dealt rows'
-        lag windows, targets and anchor timestamps. The split deals with
-        ``default_rng`` and the windows are plain copies of powers, so the
-        digests hold on any CPU."""
+        """Each horizon's ``split_sha256``: the bytes of the series' powers,
+        then of the train part's and the test part's window starts and
+        targets. The split deals with ``default_rng`` and nothing is
+        computed in floating point, so the digests hold on any CPU."""
         assert main(workspace["argv"]("train")) == 0
         manifest = json.loads((workspace["out"] / "models" / "manifest.json").read_text())
         assert {s: entry["split_sha256"] for s, entry in manifest.items()} == {
-            "1": "c93ba09fec7c8fffc490334a6e0e81d54e439362e1c8101a2a80e1c829c25909",
-            "3": "3e6d640bd81174cf56f2b1dfd6b4d1e70a9413f55fecd9966db614e3b093fa69",
+            "1": "1163ecfc08e84cf5409c8e7753657429872aca38936c950d9867ed23d61895d0",
+            "3": "4ebc1a37ef6084501b28a5c65f08c1b84c350b5540f89690d686e3af87de326a",
         }
 
     def test_data_keys_read_other_columns(self, workspace, tmp_path):
@@ -397,6 +453,20 @@ class TestPredict:
             assert main(["predict", str(model_path), str(src)]) == 3
             err = error_line(capsys)
             assert err["error"] == "data" and err["message"].startswith(f"line 3: {cell!r} is not a finite number")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3\n", f"line 1: expected {LAGS} values per row, got 3"),
+        ("\n\n\n", "no feature rows in input"),
+        (",".join(f"lag_{j}" for j in range(LAGS)) + "\n", "no feature rows in input"),
+    ], ids=["row_of_3_values", "blank_lines_only", "header_only"])
+    def test_no_usable_rows_exits_3(self, model_path, tmp_path, capsys, text, message):
+        src = tmp_path / "rows.csv"
+        src.write_text(text)
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {"error": "data", "message": message}
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0663"], ids=["underscore", "arabic_indic"])
     def test_number_form_no_export_writes_exits_3(self, model_path, tmp_path, capsys, cell):
@@ -556,11 +626,12 @@ class TestConfig:
         ({"test_fraction": 10**400}, "test_fraction"),
         ({"thresholds_mw": []}, "thresholds_mw"),
         ({"thresholds_mw": [9, 4]}, "thresholds_mw"),
+        ({"version": 2}, "unsupported config version 2"),
     ], ids=["grid_5", "grid_empty", "grid_string_choice", "grid_fractional_choice", "grid_string_folds",
             "grid_zero_estimators", "grid_depth_0", "grid_depth_13",
             "data_string", "delimiter_5", "delimiter_2_chars", "unknown_data_key", "data_site_id", "out_5", "unknown_key_lags",
             "capacity_inf", "resolution_0", "seed_negative", "test_fraction_huge_integer",
-            "thresholds_empty", "thresholds_decreasing"])
+            "thresholds_empty", "thresholds_decreasing", "version_2"])
     def test_config_fault_exits_2(self, workspace, capsys, monkeypatch, tmp_path, fault, key):
         monkeypatch.chdir(tmp_path)  # "out" is left to the config
         workspace["config"].write_text(json.dumps({
@@ -585,7 +656,7 @@ class TestConfig:
         ("--capacity-mw", "rated_capacity_mw", "abc"), ("--threshold-fraction", "threshold_fraction", "abc"),
         ("--lags", "lag_count", "abc"), ("--lags", "lag_count", "1.5"), ("--test-fraction", "test_fraction", "abc"),
         ("--seed", "seed", "abc"), ("--seed", "seed", "1.5"), ("--workers", "workers", "abc"),
-        ("--workers", "workers", "1.5"),
+        ("--workers", "workers", "1.5"), ("--grid", "grid", "1x1x2x3"),
     ])
     def test_unreadable_flag_text_exits_2(self, workspace, capsys, flag, key, text):
         assert main(workspace["argv"]("prepare", flag, text)) == 2

@@ -55,7 +55,8 @@ def test_evaluation_matches_oracle(tmp_path, thresholds):
     anchors, models = {}, {}
     for s in HORIZONS:
         ds = build_dataset(loaded, HorizonSpec(s, LAGS), ThresholdSet(thresholds))
-        anchors[s] = tuple(part.anchor_ts.tolist() for part in stratified_split(ds, 0.2, SEED))
+        anchors[s] = tuple(loaded.timestamps[part.starts + LAGS - 1].tolist()  # each row's anchor time
+                           for part in stratified_split(ds, 0.2, SEED))
         models[s] = json.loads((out / "models" / f"horizon_{s}.model.json").read_text())
     found, expected = naive_evaluation(csv_path, RESOLUTION_S, LAGS, thresholds, models, anchors)
     for s in HORIZONS:

@@ -137,14 +137,14 @@ class TestStratifiedSplit:
         ds = self._dataset({1: 40, 2: 25, 3: 20, 4: 15})
         a_train, a_test = stratified_split(ds, 0.25, seed=9)
         b_train, b_test = stratified_split(ds, 0.25, seed=9)
-        assert np.array_equal(a_test.anchor_ts, b_test.anchor_ts)
+        assert np.array_equal(a_test.starts, b_test.starts)
         assert a_train.features.tobytes() == b_train.features.tobytes()
 
     def test_union_is_partition(self):
         ds = self._dataset({1: 13, 2: 29, 3: 17, 4: 11})
         train_ds, test_ds = stratified_split(ds, 0.3, seed=5)
-        both = np.concatenate([train_ds.anchor_ts, test_ds.anchor_ts])
-        assert np.array_equal(np.sort(both), np.sort(ds.anchor_ts))
+        both = np.concatenate([train_ds.starts, test_ds.starts])
+        assert np.array_equal(np.sort(both), np.sort(ds.starts))
 
     def test_largest_remainder_8_2(self):
         ds = self._dataset({2: 8, 3: 2})
@@ -161,13 +161,11 @@ class TestStratifiedSplit:
                 got = int(np.sum(test_ds.targets == c))
                 assert abs(got - 0.2 * n_c) < 1.0
 
-    def test_single_instance_class_goes_to_train(self, caplog):
+    def test_single_instance_class_goes_to_train(self):
         ds = self._dataset({1: 1, 2: 10, 3: 9})
-        with caplog.at_level("WARNING"):
-            train_ds, test_ds = stratified_split(ds, 0.5, seed=2)
+        train_ds, test_ds = stratified_split(ds, 0.5, seed=2)
         assert int(np.sum(train_ds.targets == 1)) == 1
         assert int(np.sum(test_ds.targets == 1)) == 0
-        assert "single instance" in caplog.text
 
     def test_bad_fraction(self):
         ds = self._dataset({1: 5, 2: 5})
@@ -225,7 +223,7 @@ def test_dealt_rows_pinned():
     for name, (counts, fraction, seed) in split_cases.items():
         train_ds, test_ds = stratified_split(make_dataset(np.zeros((sum(counts), 1)), _shuffled_targets(counts)),
                                              fraction, seed)
-        got[name] = _rows_sha256([train_ds.anchor_ts, test_ds.anchor_ts])
+        got[name] = _rows_sha256([train_ds.starts, test_ds.starts])
     for name, (counts, k, seed) in fold_cases.items():
         got[name] = _rows_sha256(stratified_folds(_shuffled_targets(counts), k, seed))
     assert got == {

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from windramp import DataError, HyperParams
+from windramp import HyperParams
 from windramp.gbrt import bin_columns, softmax_gradients
 
 from .conftest import grown_tree, tree_depth, window_rows
@@ -52,10 +52,6 @@ class TestSoftmaxGradients:
         scores = rng.normal(scale=10.0, size=(200, 4))
         _, h = softmax_gradients(scores, rng.integers(0, 4, size=200))
         assert np.all(h >= 0)
-
-    def test_bad_targets_rejected(self):
-        with pytest.raises(DataError):
-            softmax_gradients(np.zeros((2, 3)), np.array([0, 3]))
 
 
 def _tree_values(tree, X):

@@ -128,7 +128,7 @@ class TestBuildDataset:
         ds = build_dataset(wps, horizon, single_threshold)
         ts, pw = wps.timestamps, wps.powers
         by_ts = dict(zip(ts.tolist(), pw.tolist()))
-        for row, anchor in zip(ds.features, ds.anchor_ts):
+        for row, anchor in zip(ds.features, ts[ds.starts + horizon.lag_count - 1]):
             # features are the L powers at and before the anchor
             for k, value in enumerate(reversed(row)):
                 assert by_ts[int(anchor) - k * 600] == value
@@ -190,7 +190,7 @@ class TestLabeledDataset:
     def _fields(**edit):
         """Four rows of two lags over eight powers, with ``edit`` applied."""
         return {"powers": np.arange(8.0), "starts": 2 * np.arange(4), "targets": [1, 2, 3, 4],
-                "horizon": HorizonSpec(1, 2), "thresholds": ThresholdSet((10.0,)), "anchor_ts": np.arange(4),
+                "horizon": HorizonSpec(1, 2), "thresholds": ThresholdSet((10.0,)),
                 "observed": np.zeros(4, dtype=np.int64), **edit}
 
     def test_features_are_the_windows_at_starts(self):
@@ -205,9 +205,7 @@ class TestLabeledDataset:
         ({"starts": [-1, 2, 4, 6]}, "starts"),
         ({"starts": np.zeros((2, 2))}, "starts"),
         ({"targets": [1, 2, 3]}, "targets length"),
-        ({"anchor_ts": np.arange(5)}, "anchor_ts length"),
-    ], ids=["powers_2d", "powers_nan", "start_past_end", "start_negative", "starts_2d", "targets_short",
-            "anchor_ts_long"])
+    ], ids=["powers_2d", "powers_nan", "start_past_end", "start_negative", "starts_2d", "targets_short"])
     def test_malformed_fields_rejected(self, edit, match):
         with pytest.raises(DataError, match=match):
             LabeledDataset(**self._fields(**edit))
