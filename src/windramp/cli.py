@@ -201,8 +201,8 @@ _SETTINGS = {
     "lag_count": _Setting("--lags", 36, int, _number(int, *_AT_LEAST_1), "length of the lag feature window"),
     "test_fraction": _Setting("--test-fraction", 0.2, float, _number(float, lambda v: 0 < v < 1, "in (0, 1)")),
     "seed": _Setting("--seed", 0, int, _number(int, lambda v: v >= 0, ">= 0")),
-    "workers": _Setting("--workers", 1, int, _optional(_number(int, *_AT_LEAST_1)),
-                        "processes running grid and final fits at once (default 1); outputs do not depend on it"),
+    "workers": _Setting("--workers", 1, int, _number(int, *_AT_LEAST_1),
+                        "fit processes run at once (default 1, capped at the core count); outputs do not depend on it"),
     "hyperparams": _Setting(None, {}, None, _hyperparams),
     "grid": _Setting("--grid", None, _parse_grid_spec, _optional(_grid),
                      "grid spec N_ESTSxDEPTHS[xFOLDS] or 'default'"),

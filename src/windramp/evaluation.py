@@ -228,7 +228,7 @@ def fit_horizons(
     grid: ParamGrid | None,
     fixed: HyperParams | None = None,
     seed: int = 0,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> list[tuple[HyperParams, list[dict], GbrtModel]]:
     """Select hyperparameters for each train part and fit its final model.
 
@@ -243,12 +243,12 @@ def fit_horizons(
     ``fold_scores`` and their ``mean_score``.
 
     Every part's (cell, fold) fits, and then every part's final fit, run on
-    one pool of up to ``workers`` processes (None = all cores). Each fit is
-    independent and results come back in job order, so the output does not
-    depend on ``workers``.
+    one pool of up to ``workers`` processes, capped at the core count. Each
+    fit is independent and results come back in job order, so the output
+    does not depend on ``workers``.
     """
     fixed = fixed or HyperParams()
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     cells = [] if grid is None else [
         replace(fixed, n_estimators=n_est, max_depth=depth)
@@ -258,8 +258,7 @@ def fit_horizons(
     for part in parts:
         folds = stratified_folds(part.targets, grid.folds, seed) if cells else []
         cv_jobs += [(part, params, fold_rows) for params in cells for fold_rows in folds]
-    cores = os.cpu_count() or 1
-    with _mapper(min(workers or cores, cores, max(len(cv_jobs), len(parts)))) as run:
+    with _mapper(min(workers, os.cpu_count() or 1, max(len(cv_jobs), len(parts)))) as run:
         scores = iter(list(run(_fit_and_score, *zip(*cv_jobs))) if cv_jobs else [])
         tables, chosen = [], []
         for _ in parts:

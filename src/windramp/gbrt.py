@@ -11,16 +11,17 @@ them. Training is serial and deterministic; ``evaluation.fit_horizons``
 runs fits in parallel processes.
 
 A model stores its T = rounds x classes trees (round-major, class-minor)
-stacked, each in complete binary layout of depth D, the depth of its
-deepest tree; each grows in place into its rows of a stack of depth
-max_depth, then cut to D. ``feature`` and ``threshold`` (T x 2^D-1) hold
-the internal slots: the children of slot i are slots 2i+1 and 2i+2, and a
-row goes to the right one when x[feature] >= threshold. A slot that does
-not split has feature -1 and sends every row left (its threshold is +inf in
-memory). ``leaf`` (T x 2^D) holds the weights one level below, already
-multiplied by the learning rate; a leaf shallower than D is copied to every
-slot under it. A score is the base score plus one leaf of every tree.
-Prediction walks all trees of a block of rows at once, in D vectorized steps.
+stacked, each in complete binary layout of depth D, the depth of its deepest
+tree; each grows in place into its rows of a stack of depth max_depth,
+returning its training rows' leaf weights, and the stack is then cut to D.
+``feature`` and ``threshold`` (T x 2^D-1) hold the internal slots: the
+children of slot i are slots 2i+1 and 2i+2, and a row goes to the right one
+when x[feature] >= threshold. A slot that does not split has feature -1 and
+sends every row left (its threshold is +inf in memory). ``leaf`` (T x 2^D)
+holds the weights one level below, already multiplied by the learning rate;
+a leaf shallower than D is copied to every slot under it. A score is the
+base score plus one leaf of every tree. Prediction walks all trees of a
+block of rows at once, in D vectorized steps.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class HyperParams:
 
 
 class Tree(NamedTuple):
-    """One tree's rows of the stacked layout (see the module docstring); it
-    stays for the benchmark's ``model_counts``, the one reader of its counts.
+    """A read-only view of one tree's rows of a model, as ``GbrtModel.trees``
+    yields it for the benchmark's ``model_counts`` and tests; no fit builds one.
 
     Every split's parent splits too, so the slots with ``feature >= 0`` are
     exactly the tree's internal nodes; the counts ignore padding.
@@ -208,26 +209,23 @@ def _best_splits(hist: np.ndarray, G: np.ndarray, H: np.ndarray, params: HyperPa
 
 
 def grow_tree(bins: np.ndarray, edges: np.ndarray, root_counts: np.ndarray, grad: np.ndarray, hess: np.ndarray,
-              params: HyperParams, tree: Tree, train_leaf_values: np.ndarray) -> None:
-    """Greedy growth to max_depth over the histograms of the columns
-    :func:`bin_columns` binned, with their counts as the root's, one level at
-    a time, in place into ``tree``: contiguous rows of 2^max_depth - 1 and
-    2^max_depth slots of the complete binary layout, every slot of which it writes.
+              params: HyperParams, feature: np.ndarray, threshold: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Grow one tree greedily to max_depth, one level at a time, over the
+    histograms of the columns :func:`bin_columns` binned (their counts are
+    the root's), into every slot of its rows ``feature``, ``threshold`` and
+    ``leaf`` of the layout; return each training row's leaf weight.
 
     Below the root only the smaller child of each split is built from its
     rows; the larger one is its parent's histogram minus the smaller one's.
     A level wider than _HIST_CELLS cells is built from the rows and searched
     one block of nodes at a time. A split after bin k stores threshold
     edges[k]. Leaf weight is -G/(H+lambda) from the node's own sums; ``train``
-    applies the learning rate, not this function. Each training row's leaf
-    weight is written into ``train_leaf_values``, sparing a full predict pass.
+    applies the learning rate, not this function.
     """
     num_features, n = bins.shape
-    if n == 0:
-        raise TrainingError("cannot grow a tree on an empty row set")
     top, width = params.max_depth, edges.shape[1] + 1  # width: bins per feature
-    feature, threshold, leaf = tree
     feature[:], threshold[:] = -1, np.inf
+    values = np.empty(n)
     step = max(1, _HIST_CELLS // (num_features * width))  # nodes per block of a level
     # the rows of the level's nodes, their gradient pairs and their nodes (indices into slots)
     rows, g, h, node = np.arange(n), grad, hess, np.zeros(n, dtype=np.intp)
@@ -246,7 +244,7 @@ def grow_tree(bins: np.ndarray, edges: np.ndarray, root_counts: np.ndarray, grad
         inner = split >= 0
         value = np.divide(-G, H + params.reg_lambda, out=np.zeros(count), where=H + params.reg_lambda > 0)
         done = ~inner[node]
-        train_leaf_values[rows[done]] = value[node[done]]
+        values[rows[done]] = value[node[done]]
         leaf.reshape(2**depth, -1)[slots[~inner] + 1 - 2**depth] = value[~inner, None]  # every leaf slot below
         n_splits = int(np.count_nonzero(inner))
         if not n_splits:
@@ -268,6 +266,7 @@ def grow_tree(bins: np.ndarray, edges: np.ndarray, root_counts: np.ndarray, grad
         hist = np.stack((built, hist[inner] - built), axis=1)  # (smaller, larger) child of each split
         hist[small] = hist[small, ::-1]
         hist = hist.reshape((2 * n_splits,) + hist.shape[2:])
+    return values
 
 
 @dataclass(frozen=True)
@@ -367,13 +366,14 @@ class GbrtModel:
 def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtModel:
     """Fit a GBRT ensemble on a labeled dataset.
 
-    Each round computes softmax gradients at the current scores, grows one
-    tree per class against them, and accumulates its leaf weights times the
-    learning rate; the model stores those products. The base score is the
-    log of add-one-smoothed class priors. The feature columns are binned
-    once, each gathered from the dataset's powers, so no feature matrix is
-    built; a split after bin k stores threshold edges[k], a value of its
-    column: predict routes the training rows exactly as their bins did.
+    Each round computes softmax gradients at the current scores, grows one tree
+    per class against them, and adds the leaf weights it returns times the
+    learning rate to the training rows' scores; the model stores those
+    products. The base score is the log of add-one-smoothed class priors. The
+    feature columns are binned once, each gathered from the dataset's powers,
+    so no feature matrix is built; a split after bin k stores threshold
+    edges[k], a value of its column: predict routes the training rows exactly
+    as their bins did.
     """
     params = params or HyperParams()
     n = len(dataset)
@@ -392,14 +392,12 @@ def train(dataset: LabeledDataset, params: HyperParams | None = None) -> GbrtMod
     feature = np.empty((n_trees, 2**top - 1), dtype=np.int32)
     threshold = np.empty((n_trees, 2**top - 1))
     leaf = np.empty((n_trees, 2**top))
-    trees = map(Tree, feature, threshold, leaf)  # row t of each array, one tree after another
-    leaf_values = np.empty(n, dtype=np.float64)
-    for _ in range(params.n_estimators):
+    for r in range(params.n_estimators):
         g, h = softmax_gradients(scores, y)
         for c in range(num_classes):
-            grow_tree(bins, edges, root_counts, np.ascontiguousarray(g[:, c]), np.ascontiguousarray(h[:, c]),
-                      params, next(trees), leaf_values)
-            scores[:, c] += params.learning_rate * leaf_values
+            t = r * num_classes + c
+            scores[:, c] += params.learning_rate * grow_tree(bins, edges, root_counts, g[:, c].copy(), h[:, c].copy(),
+                                                             params, feature[t], threshold[t], leaf[t])
 
     # every tree was grown in a depth-max_depth layout: cut them all below the deepest split slot
     depth = int(np.flatnonzero((feature >= 0).any(axis=0)).max(initial=-1) + 1).bit_length()

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -150,12 +150,12 @@ def load_series(
 ) -> tuple[WindPowerSeries, LoadReport]:
     """Read a delimited text file into a validated WindPowerSeries.
 
-    The header row names the columns: ``timestamp_column`` holds epoch
-    seconds or ISO-8601 times and ``power_column`` megawatts, with fields
-    separated by ``delimiter``. Rows are sorted by timestamp; exact
-    duplicates, sub-resolution strides, and powers outside [0,
-    rated_capacity_mw] are hard errors. Any missing step starts a new
-    segment; no power value is ever fabricated.
+    The header row names the columns: ``timestamp_column`` holds epoch seconds
+    or ISO-8601 times and ``power_column`` megawatts, with fields separated by
+    ``delimiter``, one character other than a line break (else a ConfigError).
+    Rows are sorted by timestamp; exact duplicates, sub-resolution strides, and
+    powers outside [0, rated_capacity_mw] are hard errors. Any missing step
+    starts a new segment; no power value is ever fabricated.
 
     The file is read once. Integer timestamps and plain numbers, as
     ``write_series`` writes them, are parsed by ``np.loadtxt``; the row
@@ -165,6 +165,8 @@ def load_series(
     Returns the series together with a LoadReport (rows read / dropped blank
     rows / gaps split / segment count).
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in "\r\n":
+        raise ConfigError(f"delimiter must be one character other than a line break, got {delimiter!r}")
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -188,7 +190,7 @@ def _loadtxt_columns(raw: bytes, timestamp_column: str, power_column: str, delim
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     # csv alone: bytes not UTF-8, quotes, NUL, a bare \r, a field past its size limit, whitespace delimiters
-    if (any(c in text for c in '\ufffd"\0') or len(delimiter) != 1 or delimiter.isspace()
+    if (any(c in text for c in '\ufffd"\0') or delimiter.isspace()
             or np.count_nonzero(buf == ord("\r")) != np.count_nonzero(buf[ends[ends > 0] - 1] == ord("\r"))
             or np.diff(ends, prepend=-1, append=buf.size).max() > csv.field_size_limit()):
         return None

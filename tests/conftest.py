@@ -84,9 +84,7 @@ def grown_tree(bins, edges, counts, g, h, params):
     unset rows may: grow_tree must write every slot."""
     slots = 2**params.max_depth
     tree = Tree(np.zeros(slots - 1, dtype=np.int32), np.full(slots - 1, np.nan), np.full(slots, np.nan))
-    values = np.full(bins.shape[1], np.nan)
-    grow_tree(bins, edges, counts, g, h, params, tree, values)
-    return tree, values
+    return tree, grow_tree(bins, edges, counts, g, h, params, *tree)
 
 
 def tree_depth(tree):

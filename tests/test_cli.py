@@ -594,15 +594,16 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("rated_capacity_mw", "x"), ("threshold_fraction", "x"), ("test_fraction", "x"), ("lag_count", "x"),
         ("lag_count", 2.5), ("resolution_s", "x"), ("seed", "x"), ("workers", "x"), ("workers", True),
-        ("horizons", ["x"]), ("horizons", [1.5]), ("thresholds_mw", ["x"]), ("thresholds_mw", 5),
+        ("workers", None), ("horizons", ["x"]), ("horizons", [1.5]), ("thresholds_mw", ["x"]), ("thresholds_mw", 5),
     ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
     def test_non_numeric_value_exits_2(self, workspace, capsys, key, value):
         workspace["config"].write_text(json.dumps({"version": 1, "rated_capacity_mw": 20, key: value}))
         argv = ["prepare", "--config", str(workspace["config"]), "--data", str(workspace["csv"]),
                 "--out", str(workspace["out"])]
         assert main(argv) == 2
-        err = error_line(capsys)
-        assert err["error"] == "config" and key in err["message"]
+        lines = capsys.readouterr().err.splitlines()
+        err = json.loads(lines[0])
+        assert len(lines) == 1 and err["error"] == "config" and key in err["message"]
 
     @pytest.mark.parametrize("fault, key", [
         ({"grid": 5}, "grid"),

@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
 
-from windramp import DataError, WindPowerSeries, generate_series, load_series, series, write_series
+from windramp import ConfigError, DataError, WindPowerSeries, generate_series, load_series, series, write_series
 
 
 def load_text(tmp_path, text, **columns):
@@ -164,6 +165,13 @@ def test_custom_schema_and_delimiter(tmp_path):
     # write_series takes the same keywords and writes the same text back
     write_series(wps, tmp_path / "back.csv", **columns)
     assert (tmp_path / "back.csv").read_text() == text
+
+
+@pytest.mark.parametrize("delimiter", ["ab", "", "\n", "\r"])
+def test_delimiter_not_one_character_is_config_error(tmp_path, delimiter):
+    # refused by name before the file is read: here it does not exist
+    with pytest.raises(ConfigError, match=f"delimiter must be one character.*{re.escape(repr(delimiter))}"):
+        load_series(tmp_path / "missing.csv", resolution_s=600, rated_capacity_mw=20.0, delimiter=delimiter)
 
 
 def test_missing_column_is_error(tmp_path):
